@@ -180,6 +180,11 @@ func (p *diffProbe) scanCheck(now int64) {
 				p.t.Fatalf("cycle %d subnet %d router %d: occupancy counters drifted from scan", now, s, n)
 			}
 		}
+		// The full aggregate check, including the per-slot occupancy and
+		// out-VC masks the allocation stages read.
+		if msg := sub.CheckAggregates(); msg != "" {
+			p.t.Fatalf("cycle %d subnet %d: %s", now, s, msg)
+		}
 	}
 }
 
@@ -450,6 +455,70 @@ func TestReferenceScanFlipMidRun(t *testing.T) {
 	base := diffRun(t, "catnap", false, false, traffic.Fig12Bursts(), cycles)
 	flipped := diffRun(t, "catnap", false, false, traffic.Fig12Bursts(), cycles, 700, 1500)
 	compareFingerprints(t, "flip", base, flipped, true)
+}
+
+// diffTopology is one named network shape for the topology differentials.
+type diffTopology struct {
+	name string
+	cfg  noc.Config
+}
+
+// diffTopologies are the non-mesh shapes the topology differentials
+// run: the torus (dateline VC classes in allocateOutVC), a radix-7
+// flattened butterfly whose slots fit the allocation masks, and one with
+// radix×VCs > 64, which takes the full-scan fallback on both arms.
+func diffTopologies() []diffTopology {
+	wide := fbflyConfig(4, 4, 2, 256)
+	wide.VCs = 10 // 7 ports × 10 VCs = 70 slots
+	return []diffTopology{
+		{"torus", torusConfig(8, 8, 4, 128)},
+		{"fbfly4x4", fbflyConfig(4, 4, 2, 256)},
+		{"fbfly-wide", wide},
+	}
+}
+
+// topoNet builds a fresh network for a topology differential arm.
+func topoNet(t *testing.T, cfg noc.Config) *noc.Network {
+	t.Helper()
+	net, err := noc.New(cfg, core.NewRRSelector(cfg.Nodes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return net
+}
+
+// TestIncrementalMatchesReferenceScanTopologies repeats the gated
+// differential on the torus and flattened-butterfly shapes, under the
+// bursty schedule and a saturating constant load that keeps wormholes
+// allocated and outputs contended.
+func TestIncrementalMatchesReferenceScanTopologies(t *testing.T) {
+	const cycles = 2500
+	for _, tc := range diffTopologies() {
+		for _, sched := range []struct {
+			name string
+			s    traffic.Schedule
+		}{{"bursty", traffic.Fig12Bursts()}, {"saturated", traffic.Constant(0.45)}} {
+			run := func(ref bool) diffFingerprint {
+				return diffRunWith(t, diffOpts{net: topoNet(t, tc.cfg), gating: "catnap",
+					ref: ref, sched: sched.s, cycles: cycles})
+			}
+			compareFingerprints(t, tc.name+"/"+sched.name, run(true), run(false), true)
+		}
+	}
+}
+
+// TestReferenceScanFlipMidRunTopologies flips between the stepping
+// modes mid-run on each non-mesh shape: the shared allocation masks must
+// carry the flipped run exactly onto the always-incremental trajectory.
+func TestReferenceScanFlipMidRunTopologies(t *testing.T) {
+	const cycles = 2400
+	for _, tc := range diffTopologies() {
+		base := diffRunWith(t, diffOpts{net: topoNet(t, tc.cfg), gating: "catnap",
+			sched: traffic.Fig12Bursts(), cycles: cycles})
+		flipped := diffRunWith(t, diffOpts{net: topoNet(t, tc.cfg), gating: "catnap",
+			sched: traffic.Fig12Bursts(), cycles: cycles, flipRef: []int{1200, 1700}})
+		compareFingerprints(t, tc.name+"/flip", base, flipped, true)
+	}
 }
 
 // TestDrainedQuiescenceIncremental drains a gated run on the incremental

@@ -26,6 +26,9 @@ func (n *Network) CheckQuiescent() error {
 			if s.occSlots[ni] != 0 {
 				return fmt.Errorf("noc: subnet %d router %d occupancy bitmask %#x not drained", si, ni, s.occSlots[ni])
 			}
+			if s.allocSlots[ni] != 0 {
+				return fmt.Errorf("noc: subnet %d router %d out-VC allocation bitmask %#x not drained", si, ni, s.allocSlots[ni])
+			}
 			r := &s.routers[ni]
 			for p := range r.in {
 				ip := &r.in[p]

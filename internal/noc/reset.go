@@ -170,6 +170,7 @@ func (s *Subnet) reset() {
 	s.radix = radix
 	s.pstate = resetSlice(s.pstate, nodes)
 	s.occSlots = resetSlice(s.occSlots, nodes)
+	s.allocSlots = resetSlice(s.allocSlots, nodes)
 	s.lastBusy = resetSlice(s.lastBusy, nodes)
 	for n := range s.lastBusy {
 		s.lastBusy[n] = -1 // never busy yet: idle(now) == now+1 == now-emptySince+1

@@ -166,6 +166,45 @@ func TestResetRepeatedReuse(t *testing.T) {
 	}
 }
 
+// TestResetMidWormhole stops a saturated run while many wormholes hold
+// downstream VCs, Resets, and reruns the saturated scenario: the rerun
+// must match a fresh network. A per-slot allocation bit surviving the
+// reset would make VC allocation skip that slot forever; the incremental
+// arm's mid-run aggregate check reports it on the rerun's first cycle.
+func TestResetMidWormhole(t *testing.T) {
+	const cycles = 1500
+	cfg := testConfig(8, 8, 4, 128)
+	sched := traffic.Constant(0.6)
+	fresh := diffRunWith(t, diffOpts{gating: "none", sched: sched, cycles: cycles})
+
+	net, err := noc.New(cfg, core.NewRRSelector(cfg.Nodes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gen := traffic.NewGenerator(net, traffic.UniformRandom{}, sched, 5)
+	for i := 0; i < 800; i++ {
+		gen.Tick(net.Now())
+		net.Step()
+	}
+	held := 0
+	for s := 0; s < net.Subnets(); s++ {
+		held += net.Subnet(s).AllocatedSlots()
+	}
+	if held == 0 {
+		t.Fatal("saturated warm-up left no wormhole allocated; the reset is not exercised")
+	}
+	if err := net.Reset(cfg, core.NewRRSelector(cfg.Nodes())); err != nil {
+		t.Fatal(err)
+	}
+	for s := 0; s < net.Subnets(); s++ {
+		if n := net.Subnet(s).AllocatedSlots(); n != 0 {
+			t.Fatalf("subnet %d: %d allocation-mask bits survived Reset", s, n)
+		}
+	}
+	reused := diffRunWith(t, diffOpts{net: net, gating: "none", sched: sched, cycles: cycles})
+	compareFingerprints(t, "reset/mid-wormhole", fresh, reused, true)
+}
+
 // TestResetRejectsInvalidConfig checks Reset validates before mutating:
 // an invalid config must error out.
 func TestResetRejectsInvalidConfig(t *testing.T) {

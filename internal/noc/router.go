@@ -168,6 +168,14 @@ type Router struct {
 	// staging discipline visible to the linter.
 	occ      *uint64
 	slotMask bool
+	// alloc points at this router's word in Subnet.allocSlots: bit
+	// p*VCs+v is set exactly while that VC's front packet holds a
+	// downstream VC (vc.outVC >= 0). allocateOutVC sets it on a grant and
+	// traverse clears it with the tail flit; both are shared with the
+	// reference scan, so the mask stays exact across a mid-run mode flip.
+	// The incremental VA skips occ&alloc (nothing to allocate) and SA
+	// buckets it by output port (only those slots can request the switch).
+	alloc *uint64
 
 	// Congestion-metric instrumentation (cumulative; readers take deltas).
 	blockedFlitCycles int64 // eligible-but-ungranted flit cycles
@@ -205,6 +213,7 @@ func (r *Router) wire(sub *Subnet, node int) {
 	r.out = sub.outPool[pb : pb+radix : pb+radix]
 	r.grantedInput = sub.grantPool[pb : pb+radix : pb+radix]
 	r.occ = &sub.occSlots[node]
+	r.alloc = &sub.allocSlots[node]
 	r.slotMask = radix*cfg.VCs <= 64
 	local := radix - 1
 	for p := 0; p < radix; p++ {
@@ -441,12 +450,15 @@ func (r *Router) deliver(now int64, p, v int, f flit) {
 //catnap:shard-phase touches only this router's input VCs and output-VC ownership
 func (r *Router) vcAllocate() {
 	nports := len(r.in)
+	vcs := r.sub.net.cfg.VCs
 	if r.slotMask && !r.sub.refScan {
-		// Incremental path: iterate only the non-empty VCs, in the same
-		// rotated-port, ascending-VC order as the scan below. vcAllocate
-		// never changes slot occupancy, so the snapshot is exact.
-		vcs := r.sub.net.cfg.VCs
-		occ := *r.occ
+		// Incremental path: iterate only the non-empty VCs that hold no
+		// downstream VC yet, in the same rotated-port, ascending-VC order
+		// as the scan below; the skipped slots are the scan's `continue`
+		// no-ops. vcAllocate never changes slot occupancy and only sets
+		// alloc bits of slots it has already visited, so the snapshot is
+		// exact.
+		occ := *r.occ &^ *r.alloc
 		for pi := 0; pi < nports; pi++ {
 			p := (pi + r.vaRR) % nports
 			ip := &r.in[p]
@@ -463,10 +475,9 @@ func (r *Router) vcAllocate() {
 					vc.routeSet = true
 					vc.crossed = f.crossed
 				}
-				if !vc.routeSet || vc.outVC >= 0 {
-					continue
+				if vc.routeSet {
+					r.allocateOutVC(p*vcs+v, vc)
 				}
-				r.allocateOutVC(vc)
 			}
 		}
 		r.vaRR++
@@ -491,18 +502,19 @@ func (r *Router) vcAllocate() {
 			if !vc.routeSet || vc.outVC >= 0 {
 				continue
 			}
-			r.allocateOutVC(vc)
+			r.allocateOutVC(p*vcs+v, vc)
 		}
 	}
 	r.vaRR++
 }
 
-// allocateOutVC tries to grant vc's front packet a downstream virtual
-// channel on its output port.
+// allocateOutVC tries to grant vc's front packet, in input slot
+// p*VCs+v, a downstream virtual channel on its output port, and marks
+// the slot in the alloc mask on a grant.
 //
 //catnap:hotpath
 //catnap:shard-phase
-func (r *Router) allocateOutVC(vc *vcState) {
+func (r *Router) allocateOutVC(slot int, vc *vcState) {
 	op := &r.out[vc.outPort]
 	mask := r.sub.net.cfg.vcMask(vc.curPkt.Class)
 	if vc.outPort == r.sub.net.localPort {
@@ -515,6 +527,7 @@ func (r *Router) allocateOutVC(vc *vcState) {
 			}
 			op.busy[v] = true
 			vc.outVC = int8(v)
+			*r.alloc |= 1 << uint(slot) // no-op beyond 64 slots (slotMask off)
 			return
 		}
 		return
@@ -536,6 +549,7 @@ func (r *Router) allocateOutVC(vc *vcState) {
 		}
 		op.busy[v] = true
 		vc.outVC = int8(v)
+		*r.alloc |= 1 << uint(slot)
 		return
 	}
 }
@@ -638,15 +652,19 @@ func (r *Router) switchAllocate(now int64) int {
 
 // switchAllocateFast is the incremental-path switch allocation: identical
 // decisions and counters to the scan in switchAllocate — same circular
-// visit order over non-empty slots, same round-robin pointer updates,
+// visit order over requesting slots, same round-robin pointer updates,
 // including the reference loop's re-read of op.rr after a grant shifts
-// every later slot index — but empty slots are skipped through the
-// occupancy bitmask in word-sized jumps instead of being loaded and
-// tested one by one. Slots that empty mid-allocation (the granted slot,
-// or a slot drained by an earlier output port's grant) keep a stale set
-// bit in the snapshot and are filtered by the same live vc.empty() check
-// the scan performs; bits are never set during allocation, so no
-// non-empty slot can be missed. grantedInput was reset by the caller.
+// every later slot index — but the only slots that can request the
+// switch (non-empty and holding a downstream VC: occ&alloc) are bucketed
+// by output port once per call, so each output walks just its own
+// requests in word-sized jumps and outputs without requests cost
+// nothing. The buckets stay exact for the whole call: a grant on output
+// o pops only slots routed to o, a tail pop leaves the next head
+// unrouted until the next VA, and allocation never sets a bit. A slot
+// that empties or releases its wormhole mid-call keeps a stale bucket
+// bit and is filtered by the same live vc.empty()/routeSet checks the
+// scan performs (a set routeSet implies the bucket's output port and a
+// held out-VC). grantedInput was reset by the caller.
 //
 //catnap:hotpath
 //catnap:shard-phase
@@ -662,12 +680,22 @@ func (r *Router) switchAllocateFast(now int64) int {
 	vcs := cfg.VCs
 	slots := nports * vcs
 
-	for o := 0; o < nports; o++ {
+	// req[o] is output o's request bucket; outs marks the non-empty ones.
+	// slotMask bounds nports by 64, and the array stays on the stack.
+	var req [64]uint64
+	var outs uint64
+	for m := *r.occ & *r.alloc; m != 0; m &= m - 1 {
+		idx := bits.TrailingZeros64(m)
+		o := r.in[idx/vcs].vcs[idx%vcs].outPort
+		req[o] |= 1 << uint(idx)
+		outs |= 1 << uint(o)
+	}
+	for ; outs != 0; outs &= outs - 1 {
+		// No bucket names an unlinked port: allocateOutVC panics on
+		// off-edge routes before any alloc bit is set.
+		o := bits.TrailingZeros64(outs)
 		op := &r.out[o]
-		if o != local && op.downstream < 0 {
-			continue
-		}
-		occ := *r.occ
+		rq := req[o]
 		granted := false
 		base := op.rr
 		for k := 0; k < slots; {
@@ -681,7 +709,7 @@ func (r *Router) switchAllocateFast(now int64) int {
 			if l := slots - cur; l < span {
 				span = l
 			}
-			w := occ >> uint(cur)
+			w := rq >> uint(cur)
 			if span < 64 {
 				w &= 1<<uint(span) - 1
 			}
@@ -695,7 +723,7 @@ func (r *Router) switchAllocateFast(now int64) int {
 			p := idx / vcs
 			v := idx % vcs
 			vc := &r.in[p].vcs[v]
-			if vc.empty() || !vc.routeSet || vc.outPort != o || vc.outVC < 0 {
+			if vc.empty() || !vc.routeSet {
 				continue
 			}
 			f := vc.front()
@@ -795,6 +823,7 @@ func (r *Router) traverse(now int64, p, v int, vc *vcState, o int, op *outputPor
 		// Release the downstream VC and reset per-packet state for the
 		// next packet in this FIFO.
 		op.busy[outVC] = false
+		*r.alloc &^= 1 << uint(p*cfg.VCs+v)
 		vc.routeSet = false
 		vc.outVC = -1
 		vc.curPkt = nil

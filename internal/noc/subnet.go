@@ -121,8 +121,11 @@ type Subnet struct {
 	radix int
 	// pstate[n] is router n's power state (zero value == PowerActive).
 	pstate []PowerState
-	// occSlots[n] is router n's non-empty (port,VC) slot bitmask.
-	occSlots []uint64
+	// occSlots[n] is router n's non-empty (port,VC) slot bitmask;
+	// allocSlots[n] marks the slots whose front packet holds a downstream
+	// VC (see Router.alloc).
+	occSlots   []uint64
+	allocSlots []uint64
 	// lastBusy[n] is the lazy last-busy cycle (incremental idle
 	// accounting); pinnedUntil[n] the latest in-flight arrival cycle.
 	lastBusy    []int64
@@ -706,6 +709,32 @@ func (s *Subnet) checkAggregates() string {
 		}
 		if inState(s.wakingBits) != (s.pstate[n] == PowerWaking) {
 			return "wakingBits inconsistent with state"
+		}
+		if r.slotMask {
+			if msg := r.checkSlotMasks(); msg != "" {
+				return msg
+			}
+		}
+	}
+	return ""
+}
+
+// checkSlotMasks cross-checks the router's per-slot masks against the VC
+// states they summarise: an occ bit is set exactly when the VC buffers a
+// flit, an alloc bit exactly when the VC holds a downstream VC. Only
+// meaningful when every slot fits the word (slotMask).
+func (r *Router) checkSlotMasks() string {
+	vcs := r.sub.net.cfg.VCs
+	for p := range r.in {
+		for v := range r.in[p].vcs {
+			vc := &r.in[p].vcs[v]
+			bit := uint64(1) << uint(p*vcs+v)
+			if (*r.occ&bit != 0) != !vc.empty() {
+				return "occSlots bit inconsistent with VC occupancy"
+			}
+			if (*r.alloc&bit != 0) != (vc.outVC >= 0) {
+				return "allocSlots bit inconsistent with out-VC ownership"
+			}
 		}
 	}
 	return ""
