@@ -115,7 +115,9 @@ type diffFingerprint struct {
 }
 
 // diffProbe samples settled per-cycle state into a rolling hash, and (on
-// the incremental arm) cross-checks every aggregate against its scan.
+// the incremental arm) cross-checks every aggregate against its scan. The
+// hash includes each subnet's summed switch-allocation counters (blocked
+// flit cycles, granted flits), which the Delay congestion metric reads.
 type diffProbe struct {
 	t     *testing.T
 	net   *noc.Network
@@ -133,6 +135,14 @@ func (p *diffProbe) AfterCycle(now int64) {
 		mix(uint64(a)<<32 | uint64(w)<<16 | uint64(z))
 		mix(uint64(sub.BufferedFlits()))
 		mix(uint64(sub.MaxBFM()))
+		var blocked, granted int64
+		for n := 0; n < p.net.Config().Nodes(); n++ {
+			b, g := sub.Router(n).BlockingCounters()
+			blocked += b
+			granted += g
+		}
+		mix(uint64(blocked))
+		mix(uint64(granted))
 	}
 	mix(uint64(p.net.NIQueueFlits()))
 	mix(uint64(p.net.InFlight()))

@@ -124,23 +124,34 @@ func FlitsForWidth(sizeBits, widthBits int) int {
 // flit is one flow-control unit in flight. Flits exist only inside the
 // simulator; the public surface deals in Packets. The head flit carries
 // the look-ahead route (the output port to request at the *current*
-// router, pre-computed by the upstream router per Galles' scheme).
+// router, pre-computed by the upstream router per Galles' scheme). Fields
+// are ordered so the flit packs into 24 bytes.
 type flit struct {
 	pkt *Packet
+	// eligibleAt is the first cycle this flit may win switch allocation at
+	// its current router, modelling the router pipeline depth.
+	eligibleAt int64
 	// seq is the flit index within the packet, 0-based.
 	seq int32
 	// nextPort is the look-ahead-computed output port at the router this
 	// flit currently occupies (meaningful on the head flit; body/tail flits
 	// follow the wormhole path allocated by the head).
 	nextPort uint8
-	// eligibleAt is the first cycle this flit may win switch allocation at
-	// its current router, modelling the router pipeline depth.
-	eligibleAt int64
 	// crossed records torus dateline crossings (bit 0 = X ring, bit 1 =
 	// Y ring). A packet that has crossed a ring's dateline must use the
 	// upper dateline VC class in that ring, breaking the ring's cyclic
 	// buffer dependency.
 	crossed uint8
+	// last marks the packet's tail flit, so traversal and ejection never
+	// load the Packet to compare seq against NumFlits.
+	last bool
+}
+
+// makeFlit builds flit seq of packet p; every flit comes from here.
+//
+//catnap:hotpath
+func makeFlit(p *Packet, seq int) flit {
+	return flit{pkt: p, seq: int32(seq), last: seq == p.NumFlits-1}
 }
 
 //catnap:hotpath
@@ -149,4 +160,4 @@ func (f *flit) head() bool { return f.seq == 0 }
 
 //catnap:hotpath
 //catnap:shard-phase reads the flit only
-func (f *flit) tail() bool { return int(f.seq) == f.pkt.NumFlits-1 }
+func (f *flit) tail() bool { return f.last }

@@ -7,6 +7,7 @@ package noc
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"github.com/catnap-noc/catnap/internal/topology"
 )
@@ -190,21 +191,37 @@ func TestFlitsForWidthProperty(t *testing.T) {
 	}
 }
 
+// TestFlitHeadTail builds flits through makeFlit, the constructor the NI
+// uses, so it pins the tail bit traversal and ejection read.
 func TestFlitHeadTail(t *testing.T) {
 	p := &Packet{NumFlits: 3}
 	cases := []struct {
-		seq        int32
+		seq        int
 		head, tail bool
 	}{{0, true, false}, {1, false, false}, {2, false, true}}
 	for _, c := range cases {
-		f := flit{pkt: p, seq: c.seq}
+		f := makeFlit(p, c.seq)
 		if f.head() != c.head || f.tail() != c.tail {
 			t.Errorf("seq %d: head=%v tail=%v", c.seq, f.head(), f.tail())
 		}
 	}
-	single := flit{pkt: &Packet{NumFlits: 1}}
+	single := makeFlit(&Packet{NumFlits: 1}, 0)
 	if !single.head() || !single.tail() {
 		t.Error("single-flit packet must be head and tail")
+	}
+}
+
+// TestFlitLayout pins the packed sizes of the flit and the arrival wheel
+// entry on 64-bit hosts; every traversal copies both.
+func TestFlitLayout(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("layout pinned for 64-bit hosts")
+	}
+	if got := unsafe.Sizeof(flit{}); got != 24 {
+		t.Errorf("flit is %d bytes, want 24", got)
+	}
+	if got := unsafe.Sizeof(arrival{}); got != 32 {
+		t.Errorf("arrival is %d bytes, want 32", got)
 	}
 }
 

@@ -27,7 +27,7 @@ import (
 type Network struct {
 	cfg *Config
 	// pre is the shared immutable precompute for cfg's topology shape
-	// (topology object, feeder table); see precompute.go. Swapped by
+	// (topology object, upstream table); see precompute.go. Swapped by
 	// Reset when the shape changes, never mutated.
 	pre       *precomp
 	topo      topology.Topology

@@ -293,7 +293,7 @@ func (ni *NI) injectPhase(now int64) {
 func (ni *NI) streamFlit(now int64, s int, ch *subnetChannel, st *pktStream) {
 	cfg := ni.net.cfg
 	p := st.pkt
-	f := flit{pkt: p, seq: int32(st.nextSeq)}
+	f := makeFlit(p, st.nextSeq)
 	if f.head() {
 		f.nextPort = uint8(ni.net.topo.RoutePort(ni.node, p.Dst))
 		p.InjectTime = now

@@ -8,8 +8,8 @@ import (
 
 // Shared immutable precompute (see DESIGN.md §4i): the build products that
 // depend only on the topology shape — the topology object itself (routing
-// tables, adjacency) and the reverse-link feeder table credit returns walk
-// — are identical for every subnet of every network with the same shape.
+// tables, adjacency) and the reverse-link table credit returns walk — are
+// identical for every subnet of every network with the same shape.
 // Sweeps and explore campaigns instantiate hundreds of near-identical
 // networks, so these are built once per (kind, rows, cols, concentration,
 // region) shape in a process-lifetime cache and shared read-only across
@@ -27,10 +27,9 @@ type precompKey struct {
 // precomp holds one shape's shared immutable build products.
 type precomp struct {
 	topo topology.Topology
-	// feeder[node][inPort] is the upstream (router, output port) feeding
-	// that input port; ports with no feeder hold node == -1. One backing
-	// slab, read-only after construction.
-	feeder [][]feederLink
+	// upstream[node*radix+inPort] is the flat index n*radix+p of the output
+	// port feeding that input port; -1 on the local port and mesh edges.
+	upstream []int32
 }
 
 var precompCache sync.Map // precompKey -> *precomp
@@ -51,31 +50,27 @@ func sharedPrecomp(cfg *Config) *precomp {
 		return v.(*precomp)
 	}
 	topo := cfg.topology()
-	p := &precomp{topo: topo, feeder: buildFeeder(topo, cfg.Nodes())}
+	p := &precomp{topo: topo, upstream: buildUpstream(topo, cfg.Nodes())}
 	v, _ := precompCache.LoadOrStore(k, p)
 	return v.(*precomp)
 }
 
-// buildFeeder builds the reverse link table: for every router input port,
-// the upstream (router, output port) that feeds it.
-func buildFeeder(topo topology.Topology, nodes int) [][]feederLink {
+// buildUpstream builds the reverse link table: for every router input
+// port, the flat index of the upstream output port that feeds it.
+func buildUpstream(topo topology.Topology, nodes int) []int32 {
 	radix := topo.Radix()
-	flat := make([]feederLink, nodes*radix)
-	for i := range flat {
-		flat[i] = feederLink{node: -1}
-	}
-	feeder := make([][]feederLink, nodes)
-	for n := range feeder {
-		feeder[n] = flat[n*radix : (n+1)*radix : (n+1)*radix]
+	up := make([]int32, nodes*radix)
+	for i := range up {
+		up[i] = -1
 	}
 	for n := 0; n < nodes; n++ {
 		for p := 0; p < radix-1; p++ {
 			if peer, peerPort, ok := topo.Link(n, p); ok {
-				feeder[peer][peerPort] = feederLink{node: n, port: p}
+				up[peer*radix+peerPort] = int32(n*radix + p)
 			}
 		}
 	}
-	return feeder
+	return up
 }
 
 // resetSlice returns s resized to n elements with every element zeroed,

@@ -28,7 +28,7 @@ import (
 //     packet freelists (NewPacket overwrites every field of a recycled
 //     packet), warmed slice capacity, and each router's CSC tracker
 //     struct (its counters are reset via stats.CSC.Reset).
-//   - Shared immutable precompute (topology, feeder table) is swapped by
+//   - Shared immutable precompute (topology, upstream table) is swapped by
 //     key, never mutated.
 //
 // The reflection completeness test (reset_coverage_test.go) walks the
@@ -138,7 +138,6 @@ func (s *Subnet) reset() {
 	radix := net.topo.Radix()
 
 	*s.events = PowerEvents{}
-	s.feeder = net.pre.feeder
 
 	s.wheelSize = cfg.RouterDelay + cfg.LinkDelay + cfg.CreditDelay + 4
 	s.arrivals = resetWheel(s.arrivals, s.wheelSize)
@@ -167,7 +166,6 @@ func (s *Subnet) reset() {
 	// Sharding state was torn down by Network.Reset via applyShards(0).
 	s.staging = false
 
-	s.radix = radix
 	s.pstate = resetSlice(s.pstate, nodes)
 	s.occSlots = resetSlice(s.occSlots, nodes)
 	s.allocSlots = resetSlice(s.allocSlots, nodes)
@@ -191,6 +189,7 @@ func (s *Subnet) reset() {
 		s.outCredits = resetSlice(s.outCredits, nodes*radix*cfg.VCs)
 		s.busyPool = resetSlice(s.busyPool, nodes*radix*cfg.VCs)
 		s.grantPool = resetSlice(s.grantPool, nodes*radix)
+		s.histPool = resetSlice(s.histPool, nodes*(cfg.VCs*cfg.VCDepth+1))
 		s.routers = reviveSlice(s.routers, nodes)
 		for n := range s.routers {
 			// Zero every router field except the retained CSC tracker, then
@@ -221,6 +220,7 @@ func (s *Subnet) reset() {
 			}
 			vc.head = 0
 			vc.count = 0
+			vc.frontAt = 0
 			vc.curPkt = nil
 			vc.outPort = 0
 			vc.outVC = -1

@@ -280,7 +280,8 @@ func allZero(v reflect.Value) bool {
 
 // TestResetSharesPrecompute pins the shared immutable precompute: two
 // networks of the same shape must point at the same cached topology and
-// feeder table, and a reset to a different shape must swap, not mutate.
+// upstream table, every router's credit index must come from that table,
+// and a reset to a different shape must swap, not mutate.
 func TestResetSharesPrecompute(t *testing.T) {
 	cfg := coverageConfig()
 	a, err := New(cfg, &covSelector{})
@@ -294,9 +295,20 @@ func TestResetSharesPrecompute(t *testing.T) {
 	if a.pre != b.pre {
 		t.Error("same-shape networks do not share one precompute instance")
 	}
+	// Every fed input port's credit index names the output port feeding
+	// it: that output's link must lead back to this very input.
+	radix := int32(a.topo.Radix())
 	for s := 0; s < a.Subnets(); s++ {
-		if &a.Subnet(s).feeder[0] != &b.pre.feeder[0] {
-			t.Errorf("subnet %d feeder does not alias the shared precompute", s)
+		sub := a.Subnet(s)
+		for i, up := range b.pre.upstream {
+			if up < 0 {
+				continue
+			}
+			op := &sub.routers[up/radix].out[up%radix]
+			in := &sub.routers[int32(i)/radix].in[int32(i)%radix]
+			if op.downstream != i/int(radix) || op.downInPort != i%int(radix) || in.upCredit != up*int32(cfg.VCs) {
+				t.Errorf("subnet %d input %d: upstream output %d does not feed it (credit index %d)", s, i, up, in.upCredit)
+			}
 		}
 	}
 

@@ -43,6 +43,10 @@ type vcState struct {
 	q     []flit // ring buffer, len == VCDepth
 	head  int
 	count int
+	// frontAt caches the front flit's eligibleAt while the VC is non-empty
+	// (push into an empty VC and pop set it), so switch allocation filters
+	// ineligible fronts without loading the flit ring.
+	frontAt int64
 
 	// Wormhole state for the front packet. Persists from the head flit's
 	// allocation until the tail flit traverses the switch, even across
@@ -69,7 +73,14 @@ func (v *vcState) push(f flit) {
 	if v.count == len(v.q) {
 		panic("noc: VC buffer overflow (credit accounting bug)")
 	}
-	v.q[(v.head+v.count)%len(v.q)] = f
+	if v.count == 0 {
+		v.frontAt = f.eligibleAt
+	}
+	i := v.head + v.count
+	if i >= len(v.q) {
+		i -= len(v.q)
+	}
+	v.q[i] = f
 	v.count++
 }
 
@@ -82,18 +93,27 @@ func (v *vcState) pop() flit {
 	// same-shape reset sweep only the live ring spans instead of
 	// bulk-clearing the subnet's entire flit pool.
 	v.q[v.head] = flit{}
-	v.head = (v.head + 1) % len(v.q)
+	if v.head++; v.head == len(v.q) {
+		v.head = 0
+	}
 	v.count--
+	if v.count > 0 {
+		v.frontAt = v.q[v.head].eligibleAt
+	}
 	return f
 }
 
-// inputPort is one of a router's five input ports.
+// inputPort is one of a router's input ports; its VC states are the
+// router's slots p*VCs .. p*VCs+VCs-1.
 type inputPort struct {
-	vcs []vcState
 	// occupancy is the total buffered flits across the port's VCs; the BFM
 	// and BFA congestion metrics read it every cycle, so it is maintained
 	// incrementally.
 	occupancy int
+	// upCredit is the Subnet.outCredits index of VC 0 of the upstream
+	// output port feeding this input (unused on the local port and
+	// unlinked edges): a credit return for VC v is staged as upCredit+v.
+	upCredit int32
 }
 
 // outputPort tracks downstream buffer credits and downstream virtual
@@ -124,12 +144,17 @@ type Router struct {
 	sub  *Subnet
 	node int
 
-	// in/out/grantedInput are subslices of the subnet's contiguous
-	// backing pools (inPool/outPool/grantPool): one allocation per
-	// subnet per kind, and a shard's routers sit on adjacent cache
-	// lines. See the struct-of-arrays layout notes on Subnet.
-	in  []inputPort
-	out []outputPort
+	// in/out/slots/occHist/grantedInput are subslices of the subnet's
+	// contiguous backing pools (inPool/outPool/vcPool/histPool/grantPool):
+	// one allocation per subnet per kind, and a shard's routers sit on
+	// adjacent cache lines. See the struct-of-arrays layout notes on
+	// Subnet. slots holds input port p's VC v at p*VCs+v, the bit the
+	// occ/alloc masks use; occHist[k] counts the input ports holding
+	// exactly k flits, so traverse tracks maxPortOcc without a rescan.
+	in      []inputPort
+	out     []outputPort
+	slots   []vcState
+	occHist []int32
 
 	// Power gating state. The state itself lives in Subnet.pstate (flat,
 	// indexed by node) so phase loops and downstream-awake checks never
@@ -181,8 +206,8 @@ type Router struct {
 	blockedFlitCycles int64 // eligible-but-ungranted flit cycles
 	grantedFlits      int64 // flits that won switch allocation
 
-	// Per-cycle scratch: which input ports already granted a flit this
-	// cycle (one buffer read port per input port).
+	// Per-cycle scratch of the reference scan: which input ports already
+	// granted a flit this cycle (one buffer read port per input port).
 	grantedInput []bool
 	vaRR         int
 
@@ -205,13 +230,16 @@ type Router struct {
 func (r *Router) wire(sub *Subnet, node int) {
 	cfg := sub.net.cfg
 	topo := sub.net.topo
-	radix := sub.radix
+	radix := sub.wired.radix
 	r.sub = sub
 	r.node = node
 	pb := node * radix
 	r.in = sub.inPool[pb : pb+radix : pb+radix]
 	r.out = sub.outPool[pb : pb+radix : pb+radix]
 	r.grantedInput = sub.grantPool[pb : pb+radix : pb+radix]
+	r.slots = sub.vcPool[pb*cfg.VCs : (pb+radix)*cfg.VCs : (pb+radix)*cfg.VCs]
+	hw := cfg.VCs*cfg.VCDepth + 1 // occupancies 0..VCs*VCDepth
+	r.occHist = sub.histPool[node*hw : (node+1)*hw : (node+1)*hw]
 	r.occ = &sub.occSlots[node]
 	r.alloc = &sub.allocSlots[node]
 	r.slotMask = radix*cfg.VCs <= 64
@@ -219,10 +247,12 @@ func (r *Router) wire(sub *Subnet, node int) {
 	for p := 0; p < radix; p++ {
 		ip := &r.in[p]
 		vb := (pb + p) * cfg.VCs
-		ip.vcs = sub.vcPool[vb : vb+cfg.VCs : vb+cfg.VCs]
-		for v := range ip.vcs {
-			qb := (vb + v) * cfg.VCDepth
-			ip.vcs[v].q = sub.flitPool[qb : qb+cfg.VCDepth : qb+cfg.VCDepth]
+		for v := vb; v < vb+cfg.VCs; v++ {
+			qb := v * cfg.VCDepth
+			sub.vcPool[v].q = sub.flitPool[qb : qb+cfg.VCDepth : qb+cfg.VCDepth]
+		}
+		if up := sub.net.pre.upstream[pb+p]; up >= 0 {
+			ip.upCredit = up * int32(cfg.VCs)
 		}
 		op := &r.out[p]
 		op.downstream = -1
@@ -255,6 +285,8 @@ func (r *Router) rearm(cfg *Config) {
 	for p := range r.in {
 		r.in[p].occupancy = 0
 	}
+	clear(r.occHist)
+	r.occHist[0] = int32(len(r.in))
 	for p := range r.out {
 		op := &r.out[p]
 		op.rr = 0
@@ -297,12 +329,10 @@ func (r *Router) MaxPortOccupancy() int { return r.maxPortOcc }
 //catnap:hotpath
 func (r *Router) TotalOccupancy() int { return r.totalOcc }
 
-// MaxPortOccupancyScan recomputes MaxPortOccupancy by scanning the ports.
-// It exists for the retained reference path and for consistency checks;
-// the hot paths use the incremental counter.
+// MaxPortOccupancyScan recomputes MaxPortOccupancy by scanning the ports,
+// for reference scans and checks; traverse keeps the counter via occHist.
 //
 //catnap:hotpath
-//catnap:shard-phase reads own ports only
 func (r *Router) MaxPortOccupancyScan() int {
 	m := 0
 	for p := range r.in {
@@ -415,10 +445,14 @@ func (r *Router) noteBusyEnd(now, busyCycle int64) {
 func (r *Router) deliver(now int64, p, v int, f flit) {
 	cfg := r.sub.net.cfg
 	f.eligibleAt = now + int64(cfg.RouterDelay)
-	r.in[p].vcs[v].push(f)
-	*r.occ |= 1 << uint(p*cfg.VCs+v) // no-op beyond 64 slots (slotMask off)
-	occ := r.in[p].occupancy + 1
-	r.in[p].occupancy = occ
+	idx := p*cfg.VCs + v
+	r.slots[idx].push(f)
+	*r.occ |= 1 << uint(idx) // no-op beyond 64 slots (slotMask off)
+	ip := &r.in[p]
+	occ := ip.occupancy + 1
+	ip.occupancy = occ
+	r.occHist[occ-1]--
+	r.occHist[occ]++
 	r.totalOcc++
 	r.sub.bufferedFlits++
 	if occ > r.maxPortOcc {
@@ -452,42 +486,38 @@ func (r *Router) vcAllocate() {
 	nports := len(r.in)
 	vcs := r.sub.net.cfg.VCs
 	if r.slotMask && !r.sub.refScan {
-		// Incremental path: iterate only the non-empty VCs that hold no
-		// downstream VC yet, in the same rotated-port, ascending-VC order
-		// as the scan below; the skipped slots are the scan's `continue`
-		// no-ops. vcAllocate never changes slot occupancy and only sets
-		// alloc bits of slots it has already visited, so the snapshot is
-		// exact.
-		occ := *r.occ &^ *r.alloc
-		for pi := 0; pi < nports; pi++ {
-			p := (pi + r.vaRR) % nports
-			ip := &r.in[p]
-			pm := occ >> uint(p*vcs) & (1<<uint(vcs) - 1)
-			for pm != 0 {
-				v := bits.TrailingZeros64(pm)
-				pm &= pm - 1
-				vc := &ip.vcs[v]
-				f := vc.front()
-				if f.head() && !vc.routeSet {
-					vc.curPkt = f.pkt
-					vc.outPort = int(f.nextPort)
-					vc.outVC = -1
-					vc.routeSet = true
-					vc.crossed = f.crossed
-				}
-				if vc.routeSet {
-					r.allocateOutVC(p*vcs+v, vc)
-				}
+		// Incremental path: the scan's rotated-port, ascending-VC order
+		// below is slot order rotated to start at port vaRR's first slot,
+		// restricted here to non-empty VCs without a downstream VC (the
+		// scan's `continue` no-ops). VA never changes occupancy and sets
+		// only alloc bits of slots already visited: the snapshot is exact.
+		slots := nports * vcs
+		start := r.vaRR % nports * vcs
+		r.vaRR++
+		for m := rotSlots(*r.occ&^*r.alloc, start, slots); m != 0; m &= m - 1 {
+			idx := start + bits.TrailingZeros64(m)
+			if idx >= slots {
+				idx -= slots
+			}
+			vc := &r.slots[idx]
+			f := vc.front()
+			if f.head() && !vc.routeSet {
+				vc.curPkt = f.pkt
+				vc.outPort = int(f.nextPort)
+				vc.outVC = -1
+				vc.routeSet = true
+				vc.crossed = f.crossed
+			}
+			if vc.routeSet {
+				r.allocateOutVC(idx, vc)
 			}
 		}
-		r.vaRR++
 		return
 	}
 	for pi := 0; pi < nports; pi++ {
 		p := (pi + r.vaRR) % nports
-		ip := &r.in[p]
-		for v := range ip.vcs {
-			vc := &ip.vcs[v]
+		for v := 0; v < vcs; v++ {
+			vc := &r.slots[p*vcs+v]
 			if vc.empty() {
 				continue
 			}
@@ -510,38 +540,28 @@ func (r *Router) vcAllocate() {
 
 // allocateOutVC tries to grant vc's front packet, in input slot
 // p*VCs+v, a downstream virtual channel on its output port, and marks
-// the slot in the alloc mask on a grant.
+// the slot in the alloc mask on a grant. On the local port the ejection
+// sink is not credit-limited, but downstream-VC ownership still
+// serializes packets per ejection channel so that wormhole ordering holds
+// at the NI.
 //
 //catnap:hotpath
 //catnap:shard-phase
 func (r *Router) allocateOutVC(slot int, vc *vcState) {
 	op := &r.out[vc.outPort]
-	mask := r.sub.net.cfg.vcMask(vc.curPkt.Class)
-	if vc.outPort == r.sub.net.localPort {
-		// Ejection: the sink is not credit-limited, but the downstream-VC
-		// ownership still serializes packets per ejection channel so that
-		// wormhole ordering holds at the NI.
-		for v := range op.busy {
-			if mask&(1<<uint(v)) == 0 || op.busy[v] {
-				continue
-			}
-			op.busy[v] = true
-			vc.outVC = int8(v)
-			*r.alloc |= 1 << uint(slot) // no-op beyond 64 slots (slotMask off)
-			return
-		}
-		return
-	}
-	if op.downstream < 0 {
-		panic("noc: route points off the mesh edge (routing bug)")
-	}
 	cfg := r.sub.net.cfg
-	if cfg.Torus {
-		// Dateline VC classes: the downstream buffer belongs to the ring
-		// of this link; a packet that has crossed (or is about to cross,
-		// if this link is the dateline) uses the upper class.
-		crossed := vc.crossed&dimBit(vc.outPort) != 0 || r.sub.net.topo.WrapsPort(r.node, vc.outPort)
-		mask &= cfg.datelineMask(crossed)
+	mask := cfg.vcMask(vc.curPkt.Class)
+	if vc.outPort != r.sub.net.localPort {
+		if op.downstream < 0 {
+			panic("noc: route points off the mesh edge (routing bug)")
+		}
+		if cfg.Torus {
+			// Dateline VC classes: the downstream buffer belongs to the
+			// ring of this link; a packet that has crossed (or is about to
+			// cross, if this link is the dateline) uses the upper class.
+			crossed := vc.crossed&dimBit(vc.outPort) != 0 || r.sub.net.topo.WrapsPort(r.node, vc.outPort)
+			mask &= cfg.datelineMask(crossed)
+		}
 	}
 	for v := range op.busy {
 		if mask&(1<<uint(v)) == 0 || op.busy[v] {
@@ -549,7 +569,7 @@ func (r *Router) allocateOutVC(slot int, vc *vcState) {
 		}
 		op.busy[v] = true
 		vc.outVC = int8(v)
-		*r.alloc |= 1 << uint(slot)
+		*r.alloc |= 1 << uint(slot) // no-op beyond 64 slots (slotMask off)
 		return
 	}
 }
@@ -570,21 +590,21 @@ func dimBit(p int) uint8 {
 // switchAllocate arbitrates the crossbar and traverses winning flits: per
 // output port, one flit is granted per cycle (round-robin over input VCs),
 // subject to one read per input port, downstream credit availability, and
-// the downstream router being awake. It returns the number of flits moved.
+// the downstream router being awake.
 //
 //catnap:hotpath
 //catnap:shard-phase cross-router effects route through r.cq while the subnet stages
-func (r *Router) switchAllocate(now int64) int {
-	moved := 0
-	for p := range r.grantedInput {
-		r.grantedInput[p] = false
-	}
-	if r.slotMask && !r.sub.refScan {
-		return r.switchAllocateFast(now)
-	}
+func (r *Router) switchAllocate(now int64) {
 	var cq *commitQueue
 	if r.sub.staging {
 		cq = r.cq
+	}
+	if r.slotMask && !r.sub.refScan {
+		r.switchAllocateFast(now, cq)
+		return
+	}
+	for p := range r.grantedInput {
+		r.grantedInput[p] = false
 	}
 	nports := len(r.in)
 	local := r.sub.net.localPort
@@ -601,8 +621,7 @@ func (r *Router) switchAllocate(now int64) int {
 		for k := 0; k < slots; k++ {
 			idx := (op.rr + k) % slots
 			p := idx / vcs
-			v := idx % vcs
-			vc := &r.in[p].vcs[v]
+			vc := &r.slots[idx]
 			if vc.empty() || !vc.routeSet || vc.outPort != o || vc.outVC < 0 {
 				continue
 			}
@@ -616,150 +635,136 @@ func (r *Router) switchAllocate(now int64) int {
 				r.blockedFlitCycles++
 				continue
 			}
-			if o != local {
-				if op.credits[vc.outVC] <= 0 {
-					r.blockedFlitCycles++
-					continue
-				}
-				if st := r.sub.pstate[op.downstream]; st != PowerActive {
-					// The downstream router went to sleep after this
-					// flit's delivery-time wakeup (or was never signalled
-					// because it was awake then). A blocked flit keeps the
-					// wakeup line asserted — without this, a flit parked
-					// behind a router that sleeps later is stranded
-					// forever in a quiet network.
-					if st == PowerAsleep {
-						if cq != nil {
-							cq.wakes = append(cq.wakes, int32(op.downstream))
-						} else {
-							cfg := r.sub.net.cfg
-							r.sub.routers[op.downstream].wake(now, cfg.TWakeup-cfg.WakeupHidden, WakeLookAhead)
-							r.sub.events.WakeupSignals++
-						}
-					}
-					r.blockedFlitCycles++
-					continue
-				}
+			if o != local && r.outputBlocked(now, op, vc, cq) {
+				r.blockedFlitCycles++
+				continue
 			}
-			r.traverse(now, p, v, vc, o, op, cq)
+			r.traverse(now, p, idx%vcs, vc, o, op, cq)
+			r.grantedInput[p] = true
 			op.rr = (idx + 1) % slots
 			granted = true
-			moved++
 		}
 	}
-	return moved
 }
 
-// switchAllocateFast is the incremental-path switch allocation: identical
-// decisions and counters to the scan in switchAllocate — same circular
-// visit order over requesting slots, same round-robin pointer updates,
-// including the reference loop's re-read of op.rr after a grant shifts
-// every later slot index — but the only slots that can request the
-// switch (non-empty and holding a downstream VC: occ&alloc) are bucketed
-// by output port once per call, so each output walks just its own
-// requests in word-sized jumps and outputs without requests cost
-// nothing. The buckets stay exact for the whole call: a grant on output
-// o pops only slots routed to o, a tail pop leaves the next head
-// unrouted until the next VA, and allocation never sets a bit. A slot
-// that empties or releases its wormhole mid-call keeps a stale bucket
-// bit and is filtered by the same live vc.empty()/routeSet checks the
-// scan performs (a set routeSet implies the bucket's output port and a
-// held out-VC). grantedInput was reset by the caller.
+// outputBlocked reports whether vc's eligible front flit cannot advance on
+// the linked output op this cycle: no downstream credit, or the downstream
+// router is not active. A sleeping downstream router is signalled: it went
+// to sleep after this flit's delivery-time wakeup (or was never signalled
+// because it was awake then), and a blocked flit keeps the wakeup line
+// asserted — without this, a flit parked behind a router that sleeps later
+// is stranded forever in a quiet network.
+//
+//catnap:hotpath
+//catnap:shard-phase the wakeup stages through cq while the subnet stages
+func (r *Router) outputBlocked(now int64, op *outputPort, vc *vcState, cq *commitQueue) bool {
+	if op.credits[vc.outVC] <= 0 {
+		return true
+	}
+	st := r.sub.pstate[op.downstream]
+	if st == PowerAsleep {
+		if cq != nil {
+			cq.wakes = append(cq.wakes, int32(op.downstream))
+		} else {
+			cfg := r.sub.net.cfg
+			r.sub.routers[op.downstream].wake(now, cfg.TWakeup-cfg.WakeupHidden, WakeLookAhead)
+			r.sub.events.WakeupSignals++
+		}
+	}
+	return st != PowerActive
+}
+
+// switchAllocateFast is the incremental-path switch allocation, with the
+// scan's decisions and counters. Only slots that are non-empty and hold a
+// downstream VC (occ&alloc) can request the switch; they are bucketed by
+// output port once per call. The buckets stay exact for the call: a grant
+// on output o pops only slots routed to o, a tail pop leaves the next head
+// unrouted until the next VA, and nothing sets a bit. A slot that empties
+// or releases its wormhole mid-call keeps a stale bit, filtered by the
+// scan's live empty/routeSet checks (routeSet implies the bucket's port
+// and a held out-VC); eligibility is read from the cached vc.frontAt.
+//
+// Each output runs in two phases derived from the scan, which visits slot
+// op.rr+k (mod slots) for k = 0..slots-1, re-reading op.rr each time.
+// Until the first grant op.rr is its entry value rr0, so phase one walks
+// the bucket from rr0 to the first grant at distance kg (granted slot =
+// rr0+kg-1), which sets op.rr = rr0+kg. The remaining iterations k =
+// kg..slots-1 visit rr0+kg+k: the slots-kg slots from rr0+2kg, re-visiting
+// some slots and skipping others. The output is granted, so an eligible
+// slot there only counts as blocked: phase two counts that window.
 //
 //catnap:hotpath
 //catnap:shard-phase
-func (r *Router) switchAllocateFast(now int64) int {
-	moved := 0
-	var cq *commitQueue
-	if r.sub.staging {
-		cq = r.cq
-	}
-	nports := len(r.in)
+func (r *Router) switchAllocateFast(now int64, cq *commitQueue) {
 	local := r.sub.net.localPort
-	cfg := r.sub.net.cfg
-	vcs := cfg.VCs
-	slots := nports * vcs
+	vcs := r.sub.net.cfg.VCs
+	slots := len(r.in) * vcs
 
 	// req[o] is output o's request bucket; outs marks the non-empty ones.
-	// slotMask bounds nports by 64, and the array stays on the stack.
+	// slotMask bounds the port count by 64, and the array stays on the
+	// stack.
 	var req [64]uint64
 	var outs uint64
 	for m := *r.occ & *r.alloc; m != 0; m &= m - 1 {
 		idx := bits.TrailingZeros64(m)
-		o := r.in[idx/vcs].vcs[idx%vcs].outPort
+		o := r.slots[idx].outPort
 		req[o] |= 1 << uint(idx)
 		outs |= 1 << uint(o)
 	}
+	// readIn holds every slot of each input port that already granted a
+	// flit this call (one buffer read port per input port).
+	var readIn uint64
 	for ; outs != 0; outs &= outs - 1 {
 		// No bucket names an unlinked port: allocateOutVC panics on
 		// off-edge routes before any alloc bit is set.
 		o := bits.TrailingZeros64(outs)
 		op := &r.out[o]
-		rq := req[o]
-		granted := false
-		base := op.rr
-		for k := 0; k < slots; {
-			cur := base + k
-			if cur >= slots {
-				cur -= slots
+		rq, rr0, kg := req[o], op.rr, 0
+		for m := rotSlots(rq, rr0, slots); m != 0; m &= m - 1 {
+			j := bits.TrailingZeros64(m)
+			idx := rr0 + j
+			if idx >= slots {
+				idx -= slots
 			}
-			// Window of contiguous slot indices: up to the wrap boundary
-			// and the remaining k budget.
-			span := slots - k
-			if l := slots - cur; l < span {
-				span = l
-			}
-			w := rq >> uint(cur)
-			if span < 64 {
-				w &= 1<<uint(span) - 1
-			}
-			if w == 0 {
-				k += span
+			vc := &r.slots[idx]
+			if vc.count == 0 || !vc.routeSet || vc.frontAt > now {
 				continue
 			}
-			tz := bits.TrailingZeros64(w)
-			k += tz + 1
-			idx := cur + tz
-			p := idx / vcs
-			v := idx % vcs
-			vc := &r.in[p].vcs[v]
-			if vc.empty() || !vc.routeSet {
-				continue
-			}
-			f := vc.front()
-			if f.eligibleAt > now {
-				continue
-			}
-			if granted || r.grantedInput[p] {
+			if readIn&(1<<uint(idx)) != 0 || o != local && r.outputBlocked(now, op, vc, cq) {
 				r.blockedFlitCycles++
 				continue
 			}
-			if o != local {
-				if op.credits[vc.outVC] <= 0 {
-					r.blockedFlitCycles++
-					continue
-				}
-				if st := r.sub.pstate[op.downstream]; st != PowerActive {
-					if st == PowerAsleep {
-						if cq != nil {
-							cq.wakes = append(cq.wakes, int32(op.downstream))
-						} else {
-							r.sub.routers[op.downstream].wake(now, cfg.TWakeup-cfg.WakeupHidden, WakeLookAhead)
-							r.sub.events.WakeupSignals++
-						}
-					}
-					r.blockedFlitCycles++
-					continue
-				}
-			}
-			r.traverse(now, p, v, vc, o, op, cq)
+			p := idx / vcs
+			r.traverse(now, p, idx-p*vcs, vc, o, op, cq)
+			readIn |= (1<<uint(vcs) - 1) << uint(p*vcs)
 			op.rr = (idx + 1) % slots
-			granted = true
-			moved++
-			base = op.rr // mirrors the scan's (op.rr + k) re-read
+			kg = j + 1
+			break
+		}
+		if kg == 0 {
+			continue
+		}
+		w0 := (rr0 + 2*kg) % slots
+		for m := rotSlots(rq, w0, slots) & (1<<uint(slots-kg) - 1); m != 0; m &= m - 1 {
+			idx := w0 + bits.TrailingZeros64(m)
+			if idx >= slots {
+				idx -= slots
+			}
+			if vc := &r.slots[idx]; vc.count != 0 && vc.routeSet && vc.frontAt <= now {
+				r.blockedFlitCycles++
+			}
 		}
 	}
-	return moved
+}
+
+// rotSlots rotates the n-bit slot mask m (n <= 64) right by k < n, so bit
+// j of the result is slot (k+j) mod n: ascending bit order is then the
+// circular visit order starting at slot k.
+//
+//catnap:hotpath
+//catnap:shard-phase pure arithmetic
+func rotSlots(m uint64, k, n int) uint64 {
+	return (m>>uint(k) | m<<uint(n-k)) & (1<<uint(n) - 1)
 }
 
 // traverse moves the front flit of input (p, v) through the crossbar onto
@@ -775,27 +780,29 @@ func (r *Router) switchAllocateFast(now int64) int {
 func (r *Router) traverse(now int64, p, v int, vc *vcState, o int, op *outputPort, cq *commitQueue) {
 	cfg := r.sub.net.cfg
 	f := vc.pop()
+	bit := uint64(1) << uint(p*cfg.VCs+v) // zero beyond 64 slots (slotMask off)
 	if vc.empty() {
-		*r.occ &^= 1 << uint(p*cfg.VCs+v)
+		*r.occ &^= bit
 	}
-	occ := r.in[p].occupancy - 1
-	r.in[p].occupancy = occ
+	ip := &r.in[p]
+	occ := ip.occupancy - 1
+	ip.occupancy = occ
+	r.occHist[occ+1]--
+	r.occHist[occ]++
 	r.totalOcc--
 	if cq != nil {
 		cq.buffered--
 	} else {
 		r.sub.bufferedFlits--
 	}
-	if occ+1 == r.maxPortOcc {
-		// The decremented port may have been the sole argmax; recompute.
-		if m := r.MaxPortOccupancyScan(); m != r.maxPortOcc {
-			if cq != nil {
-				cq.bfm = append(cq.bfm, bfmOp{from: int32(r.maxPortOcc), to: int32(m)})
-			} else {
-				r.sub.noteBFM(r.maxPortOcc, m)
-			}
-			r.maxPortOcc = m
+	if occ+1 == r.maxPortOcc && r.occHist[occ+1] == 0 {
+		// The drained port was the sole argmax, and it still holds occ.
+		if cq != nil {
+			cq.bfm = append(cq.bfm, bfmOp{from: int32(r.maxPortOcc), to: int32(occ)})
+		} else {
+			r.sub.noteBFM(r.maxPortOcc, occ)
 		}
+		r.maxPortOcc = occ
 	}
 	if r.totalOcc == 0 {
 		// The router was occupied at powerPhase(now-1): RouterDelay >= 1
@@ -808,7 +815,6 @@ func (r *Router) traverse(now int64, p, v int, vc *vcState, o int, op *outputPor
 			r.noteBusyEnd(now, now-1)
 		}
 	}
-	r.grantedInput[p] = true
 	r.grantedFlits++
 	ev := r.sub.events
 	if cq != nil {
@@ -823,7 +829,7 @@ func (r *Router) traverse(now int64, p, v int, vc *vcState, o int, op *outputPor
 		// Release the downstream VC and reset per-packet state for the
 		// next packet in this FIFO.
 		op.busy[outVC] = false
-		*r.alloc &^= 1 << uint(p*cfg.VCs+v)
+		*r.alloc &^= bit
 		vc.routeSet = false
 		vc.outVC = -1
 		vc.curPkt = nil
@@ -838,11 +844,11 @@ func (r *Router) traverse(now int64, p, v int, vc *vcState, o int, op *outputPor
 			r.sub.stageNICredit(now+int64(cfg.CreditDelay), r.node, v)
 		}
 	} else {
-		up := r.sub.feeder[r.node][p]
+		c := ip.upCredit + int32(v)
 		if cq != nil {
-			cq.credits = append(cq.credits, credit{node: up.node, port: up.port, vc: v})
+			cq.credits = append(cq.credits, c)
 		} else {
-			r.sub.stageCredit(now+int64(cfg.CreditDelay), up.node, up.port, v)
+			r.sub.stageCredit(now+int64(cfg.CreditDelay), c)
 		}
 	}
 
@@ -869,7 +875,7 @@ func (r *Router) traverse(now int64, p, v int, vc *vcState, o int, op *outputPor
 	if cq != nil {
 		// The downstream pin travels with the arrival and is applied at
 		// commit time (the pinned router may live in another shard).
-		cq.arrivals = append(cq.arrivals, arrival{node: op.downstream, port: op.downInPort, vc: outVC, f: f})
+		cq.arrivals = append(cq.arrivals, arrival{node: int32(op.downstream), port: uint8(op.downInPort), vc: uint8(outVC), f: f})
 		return
 	}
 	arriveAt := now + int64(cfg.LinkDelay)

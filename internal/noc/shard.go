@@ -28,10 +28,10 @@ type commitQueue struct {
 	// arrivals land on the staged-link wheel at now+LinkDelay and pin the
 	// destination router awake until then.
 	arrivals []arrival
-	// credits / niCredits return at now+CreditDelay; ejections land at
-	// now+LinkDelay. The delays are phase constants, so entries carry no
-	// timestamp.
-	credits   []credit
+	// credits (Subnet.outCredits indices) / niCredits return at
+	// now+CreditDelay; ejections land at now+LinkDelay. The delays are
+	// phase constants, so entries carry no timestamp.
+	credits   []int32
 	niCredits []niCredit
 	ejections []ejection
 	// wakes are look-ahead wakeup requests for downstream routers a

@@ -2,31 +2,19 @@ package noc
 
 import (
 	"math/bits"
+	"slices"
 
 	"github.com/catnap-noc/catnap/internal/topology"
 )
 
 // arrival is a flit staged on a link, due to be written into a router's
-// input buffer at a specific cycle.
+// input buffer at a specific cycle (32 bytes: flit.nextPort already bounds
+// the radix by a byte, and Config bounds VCs by 32).
 type arrival struct {
-	node int
-	port int
-	vc   int
+	node int32
+	port uint8
+	vc   uint8
 	f    flit
-}
-
-// credit is a staged credit return to a router's output port.
-type credit struct {
-	node int
-	port int
-	vc   int
-}
-
-// feederLink identifies the upstream router output that feeds one of a
-// router's input ports (credit returns flow back along it).
-type feederLink struct {
-	node int
-	port int
 }
 
 // niCredit is a staged credit return to a node's NI for one of the local
@@ -51,18 +39,11 @@ type Subnet struct {
 
 	routers []Router
 
-	// feeder[node][inPort] is the upstream (router, output port) feeding
-	// that input port; input ports with no feeder (local, edges) hold
-	// node == -1. Points into the shared immutable precompute for the
-	// network's topology shape (precompute.go): identical for every
-	// subnet and every same-shape network, read-only after construction.
-	feeder [][]feederLink
-
 	// Staged-event wheels, indexed by cycle % wheelSize. All delays are
 	// small constants, so a fixed ring suffices.
 	wheelSize int
 	arrivals  [][]arrival
-	credits   [][]credit
+	credits   [][]int32 // outCredits indices (see inputPort.upCredit)
 	niCredits [][]niCredit
 	ejections [][]ejection
 
@@ -118,7 +99,6 @@ type Subnet struct {
 	// worker that warmed them. Routers hold views into these arrays
 	// (Router.occ, outputPort.credits), which also keeps shard-phase
 	// writes receiver-rooted for the staging-discipline linter.
-	radix int
 	// pstate[n] is router n's power state (zero value == PowerActive).
 	pstate []PowerState
 	// occSlots[n] is router n's non-empty (port,VC) slot bitmask;
@@ -135,14 +115,15 @@ type Subnet struct {
 	// phase drains credit returns into it without loading any router.
 	outCredits []int32
 	// Contiguous backing pools for every router's port, VC, flit-ring,
-	// VC-busy, and grant-scratch storage: one allocation per kind per
-	// subnet instead of O(nodes*radix) little ones.
+	// VC-busy, grant-scratch, and port-occupancy histogram storage: one
+	// allocation per kind per subnet instead of O(nodes*radix) little ones.
 	inPool    []inputPort
 	outPool   []outputPort
 	vcPool    []vcState
 	flitPool  []flit
 	busyPool  []bool
 	grantPool []bool
+	histPool  []int32
 
 	// wired is the shape the pools and router views above were last built
 	// for. Subnet.reset rebuilds the wiring (pool sizes, slice views,
@@ -180,13 +161,13 @@ func (s *Subnet) slot(cycle int64) int { return int(cycle % int64(s.wheelSize)) 
 //catnap:hotpath wheel append, amortised zero-alloc once warmed
 func (s *Subnet) stageArrival(at int64, node, port, vc int, f flit) {
 	i := s.slot(at)
-	s.arrivals[i] = append(s.arrivals[i], arrival{node: node, port: port, vc: vc, f: f})
+	s.arrivals[i] = append(s.arrivals[i], arrival{node: int32(node), port: uint8(port), vc: uint8(vc), f: f})
 }
 
 //catnap:hotpath
-func (s *Subnet) stageCredit(at int64, node, port, vc int) {
+func (s *Subnet) stageCredit(at int64, c int32) {
 	i := s.slot(at)
-	s.credits[i] = append(s.credits[i], credit{node: node, port: port, vc: vc})
+	s.credits[i] = append(s.credits[i], c)
 }
 
 //catnap:hotpath
@@ -211,9 +192,8 @@ func (s *Subnet) deliverPhase(now int64) {
 
 	// Credit returns drain straight into the flat credit array: no Router
 	// struct, port slice, or subslice header is touched.
-	vcs := s.net.cfg.VCs
 	for _, c := range s.credits[i] {
-		s.outCredits[(c.node*s.radix+c.port)*vcs+c.vc]++
+		s.outCredits[c]++
 	}
 	s.credits[i] = s.credits[i][:0]
 
@@ -223,7 +203,7 @@ func (s *Subnet) deliverPhase(now int64) {
 	s.niCredits[i] = s.niCredits[i][:0]
 
 	for _, a := range s.arrivals[i] {
-		s.routers[a.node].deliver(now, a.port, a.vc, a.f)
+		s.routers[a.node].deliver(now, int(a.port), int(a.vc), a.f)
 	}
 	s.arrivals[i] = s.arrivals[i][:0]
 
@@ -699,6 +679,13 @@ func (s *Subnet) checkAggregates() string {
 		if r.maxPortOcc != r.MaxPortOccupancyScan() {
 			return "router maxPortOcc drifted from scan"
 		}
+		hist := make([]int32, len(r.occHist))
+		for p := range r.in {
+			hist[r.in[p].occupancy]++
+		}
+		if !slices.Equal(hist, r.occHist) {
+			return "router occHist drifted from port occupancies"
+		}
 		bit := s.occBits[n>>6]&(1<<(uint(n)&63)) != 0
 		if bit != (r.totalOcc > 0) {
 			return "occBits inconsistent with occupancy"
@@ -719,22 +706,23 @@ func (s *Subnet) checkAggregates() string {
 	return ""
 }
 
-// checkSlotMasks cross-checks the router's per-slot masks against the VC
-// states they summarise: an occ bit is set exactly when the VC buffers a
-// flit, an alloc bit exactly when the VC holds a downstream VC. Only
-// meaningful when every slot fits the word (slotMask).
+// checkSlotMasks cross-checks the router's per-slot state against the VC
+// states it summarises: an occ bit is set exactly when the VC buffers a
+// flit, an alloc bit exactly when the VC holds a downstream VC, and a
+// non-empty VC caches its front flit's eligibility cycle. Only meaningful
+// when every slot fits the word (slotMask).
 func (r *Router) checkSlotMasks() string {
-	vcs := r.sub.net.cfg.VCs
-	for p := range r.in {
-		for v := range r.in[p].vcs {
-			vc := &r.in[p].vcs[v]
-			bit := uint64(1) << uint(p*vcs+v)
-			if (*r.occ&bit != 0) != !vc.empty() {
-				return "occSlots bit inconsistent with VC occupancy"
-			}
-			if (*r.alloc&bit != 0) != (vc.outVC >= 0) {
-				return "allocSlots bit inconsistent with out-VC ownership"
-			}
+	for idx := range r.slots {
+		vc := &r.slots[idx]
+		bit := uint64(1) << uint(idx)
+		if (*r.occ&bit != 0) != !vc.empty() {
+			return "occSlots bit inconsistent with VC occupancy"
+		}
+		if (*r.alloc&bit != 0) != (vc.outVC >= 0) {
+			return "allocSlots bit inconsistent with out-VC ownership"
+		}
+		if !vc.empty() && vc.frontAt != vc.front().eligibleAt {
+			return "frontAt inconsistent with the front flit"
 		}
 	}
 	return ""
