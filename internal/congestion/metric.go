@@ -201,9 +201,11 @@ type Detector struct {
 	// hotBits[s] marks nodes whose windowed rate (IR, Delay) currently
 	// exceeds Threshold; rebuilt at each window close, constant between.
 	hotBits [][]uint64
-	// epoch counts LCS/RCS changes; gating policies expose it as their
-	// decision epoch so the power phase can skip steady-state routers.
-	epoch uint64
+	// epoch[s] counts the changes that can move RCSAtNode(s, ·): RCS
+	// toggles with UseRCS on, LCS changes with it off. Gating policies
+	// expose it as their per-subnet decision epoch so the power phase can
+	// skip steady-state routers.
+	epoch []uint64
 
 	// Window state for IR and Delay.
 	winStart     int64
@@ -277,7 +279,7 @@ func (d *Detector) Reset(net *noc.Network, cfg Config) {
 	}
 	d.rcs = resetSlice(d.rcs, d.subnets*d.regions)
 	d.refScan = false
-	d.epoch = 0
+	d.epoch = resetSlice(d.epoch, d.subnets)
 	d.winStart = 0
 	d.prevInjected = resetSlice(d.prevInjected, d.nodes)
 	d.prevBlocked = resetSlice(d.prevBlocked, d.subnets*d.nodes)
@@ -324,10 +326,11 @@ func resetSlice[T any](s []T, n int) []T {
 // differential tests and honest benchmark baselines.
 func (d *Detector) SetReferenceScan(on bool) { d.refScan = on }
 
-// Epoch returns a counter that changes on every LCS or RCS transition.
-// Gating policies that are pure functions of detector state expose it via
-// noc.EpochedPolicy.
-func (d *Detector) Epoch() uint64 { return d.epoch }
+// Epoch returns a counter that changes whenever RCSAtNode(subnet, ·) may
+// have changed: on every RCS toggle of subnet with UseRCS on, on every LCS
+// transition of subnet with it off. Gating policies that are pure
+// functions of RCSAtNode expose it via noc.EpochedPolicy.
+func (d *Detector) Epoch(subnet int) uint64 { return d.epoch[subnet] }
 
 // Config returns the detector's configuration.
 func (d *Detector) Config() Config { return d.cfg }
@@ -521,14 +524,18 @@ func (d *Detector) updateLCS(now int64, s, n int, raw float64) {
 				d.tracer.LCSChanged(now, s, n, true)
 			}
 			d.lcsBits[s][n>>6] |= 1 << (uint(n) & 63)
-			d.epoch++
+			if !d.cfg.UseRCS {
+				d.epoch[s]++
+			}
 		}
 		d.lcs[idx] = true
 		d.lastHot[idx] = now
 	} else if d.lcs[idx] && raw < d.cfg.ClearThreshold && now-d.lastHot[idx] >= d.cfg.HoldCycles {
 		d.lcs[idx] = false
 		d.lcsBits[s][n>>6] &^= 1 << (uint(n) & 63)
-		d.epoch++
+		if !d.cfg.UseRCS {
+			d.epoch[s]++
+		}
 		if d.tracer != nil {
 			d.tracer.LCSChanged(now, s, n, false)
 		}
@@ -664,7 +671,7 @@ func (d *Detector) latchRCS(now int64) {
 			if d.rcs[idx] != regionOr[rg] {
 				d.rcsE.Toggles++
 				d.rcs[idx] = regionOr[rg]
-				d.epoch++
+				d.epoch[s]++
 				if d.tracer != nil {
 					d.tracer.RCSChanged(now, s, rg, regionOr[rg])
 				}

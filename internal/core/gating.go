@@ -43,11 +43,18 @@ func (g *CatnapGating) WantWake(now int64, subnet, node int) bool {
 	return g.det.RCSAtNode(subnet-1, node)
 }
 
-// PolicyEpoch implements noc.EpochedPolicy: both answers are pure
-// functions of the detector's congestion state, so the detector's
-// change counter is the policy's decision epoch. The power phase then
-// re-evaluates sleeping/blocked routers only when an LCS or RCS moved.
-func (g *CatnapGating) PolicyEpoch() uint64 { return g.det.Epoch() }
+// PolicyEpoch implements noc.EpochedPolicy. Subnet 0's answers are
+// constant (never sleep, always wake), so its epoch is too. Subnet h's
+// answers are pure functions of RCSAtNode(h−1, ·), so the detector's
+// change counter for subnet h−1 is its decision epoch: the power phase
+// re-evaluates subnet h's sleeping/blocked routers only when subnet h−1's
+// regional status (or, without RCS, its local status) moved.
+func (g *CatnapGating) PolicyEpoch(subnet int) uint64 {
+	if subnet == 0 {
+		return 0
+	}
+	return g.det.Epoch(subnet - 1)
+}
 
 var _ noc.GatingPolicy = (*CatnapGating)(nil)
 var _ noc.EpochedPolicy = (*CatnapGating)(nil)
@@ -73,7 +80,7 @@ func (BaselineGating) WantWake(now int64, subnet, node int) bool { return false 
 // PolicyEpoch implements noc.EpochedPolicy: baseline answers never
 // change, so the epoch is constant and sleeping routers are never
 // re-polled.
-func (BaselineGating) PolicyEpoch() uint64 { return 0 }
+func (BaselineGating) PolicyEpoch(subnet int) uint64 { return 0 }
 
 var _ noc.GatingPolicy = BaselineGating{}
 var _ noc.EpochedPolicy = BaselineGating{}

@@ -1,6 +1,7 @@
 package noc_test
 
 import (
+	"fmt"
 	"math"
 	"sort"
 	"sync"
@@ -257,15 +258,26 @@ func diffRunWith(t *testing.T, o diffOpts) diffFingerprint {
 
 	var det *congestion.Detector
 	switch o.gating {
-	case "catnap", "opaque":
-		det = congestion.NewDetector(net, congestion.Default(congestion.BFM))
+	case "catnap", "opaque", "catnap-local", "catnap-t0.5":
+		dcfg := congestion.Default(congestion.BFM)
+		switch o.gating {
+		case "catnap-local":
+			// No OR network: RCSAtNode falls back to LCS, so LCS
+			// transitions (not RCS toggles) move the policy epochs.
+			dcfg.UseRCS = false
+		case "catnap-t0.5":
+			// Any buffered flit sets its router's LCS: the status flips
+			// on nearly every flit.
+			dcfg.Threshold = 0.5
+		}
+		det = congestion.NewDetector(net, dcfg)
 		det.SetTracer(tr)
 		net.AddObserver(det)
 		net.SetSelector(core.NewCatnapSelector(det, cfg.Nodes()))
-		if o.gating == "catnap" {
-			net.SetGatingPolicy(core.NewCatnapGating(det))
-		} else {
+		if o.gating == "opaque" {
 			net.SetGatingPolicy(opaqueGating{p: core.NewCatnapGating(det)})
+		} else {
+			net.SetGatingPolicy(core.NewCatnapGating(det))
 		}
 	case "baseline":
 		net.SetGatingPolicy(core.BaselineGating{})
@@ -433,13 +445,18 @@ func TestIncrementalMatchesReferenceScan(t *testing.T) {
 
 // TestIncrementalMatchesReferenceScanLoads covers the load extremes: the
 // sleep-dominated low-load region (long idle streaks, epoch-skipped
-// polls) and a saturated run (dense occupancy, congestion churn).
+// polls) and a saturated run (dense occupancy, congestion churn), under
+// each Catnap setup whose per-subnet policy epochs move for a different
+// reason: RCS toggles (catnap), LCS transitions with the OR network off
+// (catnap-local), and LCS churn on nearly every flit (catnap-t0.5).
 func TestIncrementalMatchesReferenceScanLoads(t *testing.T) {
 	const cycles = 2500
-	for _, load := range []float64{0.02, 0.35} {
-		ref := diffRun(t, "catnap", false, true, traffic.Constant(load), cycles)
-		fast := diffRun(t, "catnap", false, false, traffic.Constant(load), cycles)
-		compareFingerprints(t, "catnap/load", ref, fast, true)
+	for _, gating := range []string{"catnap", "catnap-local", "catnap-t0.5"} {
+		for _, load := range []float64{0.02, 0.35} {
+			ref := diffRun(t, gating, false, true, traffic.Constant(load), cycles)
+			fast := diffRun(t, gating, false, false, traffic.Constant(load), cycles)
+			compareFingerprints(t, fmt.Sprintf("%s/load%v", gating, load), ref, fast, true)
+		}
 	}
 }
 
@@ -450,7 +467,7 @@ func TestIncrementalMatchesReferenceScanLoads(t *testing.T) {
 // execution, so logs are compared canonically sorted.
 func TestIncrementalMatchesReferenceScanParallel(t *testing.T) {
 	const cycles = 3000
-	for _, gating := range []string{"catnap", "baseline"} {
+	for _, gating := range []string{"catnap", "catnap-local", "catnap-t0.5", "baseline"} {
 		ref := diffRun(t, gating, true, true, traffic.Fig12Bursts(), cycles)
 		fast := diffRun(t, gating, true, false, traffic.Fig12Bursts(), cycles)
 		compareFingerprints(t, gating+"/parallel", ref, fast, false)

@@ -81,9 +81,10 @@ type Network struct {
 	// the next staged event instead of stepping empty cycles.
 	idleSkip bool
 	// epochFn caches the gating policy's EpochedPolicy method, if it
-	// implements one, so the power phase re-evaluates asleep and
-	// sleep-blocked routers only when the policy's answers can change.
-	epochFn func() uint64
+	// implements one, so each subnet's power phase re-evaluates its asleep
+	// and sleep-blocked routers only when the policy's answers for that
+	// subnet can change.
+	epochFn func(subnet int) uint64
 
 	// Network-wide NI aggregates, mutated only in the sequential inject
 	// phase: total bounded-queue occupancy with a nonempty-queue bitmap
@@ -141,8 +142,9 @@ func New(cfg Config, selector SubnetSelector) (*Network, error) {
 
 // SetGatingPolicy installs (or, with nil, removes) the power-gating
 // policy. Call before stepping. If the policy implements EpochedPolicy,
-// steady-state sleep/wake decisions are re-evaluated only when its epoch
-// moves; otherwise it is polled every cycle like the reference path.
+// a subnet's steady-state sleep/wake decisions are re-evaluated only when
+// the policy's epoch for that subnet moves; otherwise it is polled every
+// cycle like the reference path.
 func (n *Network) SetGatingPolicy(p GatingPolicy) {
 	n.gating = p
 	n.epochFn = nil

@@ -36,20 +36,24 @@ type GatingPolicy interface {
 }
 
 // EpochedPolicy is an optional interface a GatingPolicy may implement to
-// let the power phase skip steady-state routers. PolicyEpoch returns a
-// counter that must change whenever any AllowSleep or WantWake answer may
-// have changed; between equal epochs both answers must be pure functions
-// of (subnet, node) — independent of now and idleCycles. The substrate
-// then re-evaluates sleeping and sleep-blocked routers only when the
-// epoch moves (plus one poll right after each sleep), instead of polling
-// every router every cycle; the observable decision sequence is identical
-// because the skipped calls could only have repeated the previous answer.
-// Policies whose answers vary with time must not implement this; they are
-// polled every cycle as before. With ParallelSubnets, PolicyEpoch is read
-// concurrently from the subnet goroutines and must be safe for that
-// (Catnap's detector mutates only in the sequential observer phase).
+// let the power phase skip steady-state routers. PolicyEpoch(subnet)
+// returns a counter that must change whenever any AllowSleep or WantWake
+// answer for that subnet may have changed; between equal epochs both
+// answers for the subnet must be pure functions of node — independent of
+// now and idleCycles. The substrate then re-evaluates a subnet's sleeping
+// and sleep-blocked routers only when that subnet's epoch moves (plus one
+// poll right after each sleep), instead of polling every router every
+// cycle; the observable decision sequence is identical because the
+// skipped calls could only have repeated the previous answer. Keeping the
+// epoch per subnet lets a policy whose answers for subnet h read only
+// subnet h−1's state (Catnap) leave every other subnet undisturbed when
+// that state moves. Policies whose answers vary with time must not
+// implement this; they are polled every cycle as before. With
+// ParallelSubnets, PolicyEpoch is read concurrently from the subnet
+// goroutines and must be safe for that (Catnap's detector mutates only in
+// the sequential observer phase).
 type EpochedPolicy interface {
-	PolicyEpoch() uint64
+	PolicyEpoch(subnet int) uint64
 }
 
 // CycleObserver is invoked once per simulated cycle after all network

@@ -32,10 +32,11 @@ type IdleSkipper interface {
 // Quiescent reports whether the network holds no work that requires
 // stepping cycles one at a time: no packet anywhere (in flight, queued,
 // or buffered), no router owed a wake-up poll, and — when a gating policy
-// is installed — an epoched policy whose last-observed epoch is current,
-// so the power phase provably repeats its previous answers. Waking
-// routers and scheduled sleep checks do not break quiescence; they bound
-// the skip distance through NextEventCycle instead.
+// is installed — an epoched policy whose epoch for every subnet equals
+// that subnet's last-observed one, so every power phase provably repeats
+// its previous answers. Waking routers and scheduled sleep checks do not
+// break quiescence; they bound the skip distance through NextEventCycle
+// instead.
 //
 // The reference scan path is never quiescent: it is the baseline the
 // skipping path is differenced against, and it touches every router every
@@ -54,9 +55,8 @@ func (n *Network) Quiescent() bool {
 		if n.epochFn == nil {
 			return false
 		}
-		ep := n.epochFn()
 		for _, s := range n.subnets {
-			if s.lastEpoch != ep {
+			if s.lastEpoch != n.epochFn(s.index) {
 				return false
 			}
 		}

@@ -77,8 +77,9 @@ type Subnet struct {
 	// are skipped via Router.checkAt. Sized TIdleDetect+2: no check is
 	// ever scheduled more than TIdleDetect+1 cycles ahead.
 	checkWheel [][]int32
-	// lastEpoch is the gating-policy epoch observed at the previous power
-	// phase; a change triggers re-evaluation of asleep/blocked routers.
+	// lastEpoch is this subnet's gating-policy epoch observed at the
+	// previous power phase; a change triggers re-evaluation of its
+	// asleep/blocked routers.
 	lastEpoch uint64
 
 	// Sharded router phase state (see shard.go). shardQueues[k] is band
@@ -361,9 +362,10 @@ func (s *Subnet) routerPhaseScan(now int64) {
 
 // powerPhase advances power states. The incremental path touches only
 // routers with due work — waking routers, scheduled sleep checks, and
-// (when the gating policy's decision epoch moved) asleep or sleep-blocked
-// routers — while accruing state residency from the per-state counts in
-// O(1). Event order matches the reference scan: ascending node id.
+// (when the gating policy's decision epoch for this subnet moved) asleep
+// or sleep-blocked routers — while accruing state residency from the
+// per-state counts in O(1). Event order matches the reference scan:
+// ascending node id.
 //
 //catnap:hotpath
 //catnap:worker-safe runs on worker goroutines under ExecMode.Parallel/Shards; WantWake calls land there
@@ -380,7 +382,7 @@ func (s *Subnet) powerPhase(now int64) {
 	evalAll := false
 	if pol != nil {
 		if fn := s.net.epochFn; fn != nil {
-			ep := fn()
+			ep := fn(s.index)
 			evalAll = ep != s.lastEpoch
 			s.lastEpoch = ep
 		} else {

@@ -9,7 +9,10 @@
 // the benchmark harness relies on run-to-run stability to compare policies.
 package sim
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a small, fast, deterministic pseudo-random number generator
 // (xoshiro256** seeded via splitmix64). It is not safe for concurrent use;
@@ -50,22 +53,31 @@ func (r *RNG) Split() *RNG {
 // advancing the parent more than once per call. It is used to give each of
 // the 256 cores (or 64 nodes) its own stream from one experiment seed.
 func (r *RNG) SplitN(i int) *RNG {
-	return NewRNG(r.Uint64() + uint64(i)*0x9e3779b97f4a7c15)
+	c := &RNG{}
+	r.SplitNInto(i, c)
+	return c
 }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
+// SplitNInto reseeds dst in place to the stream SplitN(i) would return,
+// advancing r exactly as SplitN does. Callers that keep a family of
+// generators by value use it to avoid one heap RNG per member.
+func (r *RNG) SplitNInto(i int, dst *RNG) {
+	dst.Reseed(r.Uint64() + uint64(i)*0x9e3779b97f4a7c15)
+}
 
-// Uint64 returns the next 64 pseudo-random bits.
+// Uint64 returns the next 64 pseudo-random bits. The state words are
+// worked in locals so the body stays under the compiler's inlining budget:
+// per-draw callers (the traffic generator) pay no call.
 func (r *RNG) Uint64() uint64 {
-	s := &r.s
-	result := rotl(s[1]*5, 7) * 9
-	t := s[1] << 17
-	s[2] ^= s[0]
-	s[3] ^= s[1]
-	s[1] ^= s[2]
-	s[0] ^= s[3]
-	s[2] ^= t
-	s[3] = rotl(s[3], 45)
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	result := bits.RotateLeft64(s1*5, 7) * 9
+	t := s1 << 17
+	s2 ^= s0
+	s3 ^= s1
+	s1 ^= s2
+	s0 ^= s3
+	s2 ^= t
+	r.s = [4]uint64{s0, s1, s2, bits.RotateLeft64(s3, 45)}
 	return result
 }
 
@@ -90,6 +102,16 @@ func (r *RNG) Intn(n int) int {
 // Float64 returns a uniformly distributed float64 in [0, 1).
 func (r *RNG) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
+}
+
+// BernoulliThreshold returns the integer cutoff t with
+// r.Uint64()>>11 < t exactly when r.Float64() < p, for p in (0, 1]: the
+// 53-bit draw u satisfies u/2^53 < p iff u < p·2^53 iff u < ceil(p·2^53),
+// and every step is exact in float64 (scaling by a power of two, ceil of
+// a value at most 2^53). A caller drawing many coins with one p computes
+// it once and compares integers per draw.
+func BernoulliThreshold(p float64) uint64 {
+	return uint64(math.Ceil(p * (1 << 53)))
 }
 
 // Bernoulli reports true with probability p.

@@ -194,3 +194,69 @@ func TestMul64(t *testing.T) {
 		}
 	}
 }
+
+// TestUint64StreamPinned pins the xoshiro256** stream itself, so a
+// rewrite of Uint64 (or of the splitmix64 seeding) that changes a single
+// bit fails here rather than only as drifted simulation results.
+func TestUint64StreamPinned(t *testing.T) {
+	r := NewRNG(42)
+	for i, want := range []uint64{0x15780b2e0c2ec716, 0x6104d9866d113a7e, 0xae17533239e499a1, 0xecb8ad4703b360a1} {
+		if got := r.Uint64(); got != want {
+			t.Fatalf("draw %d = %#x, want %#x", i, got, want)
+		}
+	}
+	if got, want := r.SplitN(3).Uint64(), uint64(0xb897456fdbd3806); got != want {
+		t.Fatalf("SplitN(3) first draw = %#x, want %#x", got, want)
+	}
+}
+
+// TestSplitNIntoMatchesSplitN: the in-place split yields SplitN's stream
+// and advances the parent identically.
+func TestSplitNIntoMatchesSplitN(t *testing.T) {
+	a, b := NewRNG(31), NewRNG(31)
+	for i := 0; i < 64; i++ {
+		var c RNG
+		a.SplitNInto(i, &c)
+		if want := b.SplitN(i); c != *want {
+			t.Fatalf("SplitNInto(%d) state %v, want %v", i, c.s, want.s)
+		}
+	}
+	if *a != *b {
+		t.Fatal("SplitNInto advanced the parent differently from SplitN")
+	}
+}
+
+// TestBernoulliThresholdExact: the integer coin u>>11 < ceil(p·2^53) is
+// the float coin float64(u>>11)/2^53 < p exactly, for the extreme
+// probabilities (the smallest subnormal, 2^-53, the largest float below
+// 1), the generator's typical loads, and random p — over random draws and
+// over the 53-bit values adjacent to the cutoff, where an off-by-one
+// would show.
+func TestBernoulliThresholdExact(t *testing.T) {
+	ps := []float64{math.SmallestNonzeroFloat64, 0x1p-53, 0.002, 0.5, math.Nextafter(1, 0)}
+	pr := NewRNG(37)
+	for i := 0; i < 64; i++ {
+		ps = append(ps, pr.Float64())
+	}
+	r := NewRNG(41)
+	for _, p := range ps {
+		if p <= 0 {
+			continue
+		}
+		thr := BernoulliThreshold(p)
+		check := func(u53 uint64) {
+			if u53 >= 1<<53 {
+				return
+			}
+			if got, want := u53 < thr, float64(u53)/(1<<53) < p; got != want {
+				t.Fatalf("p=%v u53=%d: integer coin %v, float coin %v (thr %d)", p, u53, got, want, thr)
+			}
+		}
+		for _, u53 := range []uint64{0, 1, thr - 1, thr, thr + 1, 1<<53 - 1} {
+			check(u53)
+		}
+		for i := 0; i < 20000; i++ {
+			check(r.Uint64() >> 11)
+		}
+	}
+}

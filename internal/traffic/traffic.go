@@ -216,7 +216,7 @@ type Generator struct {
 	net      *noc.Network
 	pattern  Pattern
 	schedule Schedule
-	rngs     []*sim.RNG
+	rngs     []sim.RNG // one stream per node, held by value
 	class    noc.MsgClass
 	bits     int
 
@@ -228,18 +228,19 @@ type Generator struct {
 // NewGenerator builds a generator over net. Each node draws from its own
 // RNG split from seed, so traffic is independent of node iteration order.
 func NewGenerator(net *noc.Network, pattern Pattern, schedule Schedule, seed uint64) *Generator {
-	root := sim.NewRNG(seed)
+	var root sim.RNG
+	root.Reseed(seed)
 	nodes := net.Topo().Nodes()
 	g := &Generator{
 		net:      net,
 		pattern:  pattern,
 		schedule: schedule,
-		rngs:     make([]*sim.RNG, nodes),
+		rngs:     make([]sim.RNG, nodes),
 		class:    noc.ClassSynthetic,
 		bits:     SyntheticPacketBits,
 	}
 	for i := range g.rngs {
-		g.rngs[i] = root.SplitN(i)
+		root.SplitNInto(i, &g.rngs[i])
 	}
 	return g
 }
@@ -259,18 +260,26 @@ func (g *Generator) NextArrival(now int64) (int64, bool) {
 }
 
 // Tick injects this cycle's new packets: each node flips a Bernoulli coin
-// with the schedule's current load.
+// with the schedule's current load. The coin is RNG.Bernoulli(load)
+// exactly — same draws, same answers — with the threshold hoisted out of
+// the node loop (sim.BernoulliThreshold); like Bernoulli, a load of 1 or
+// more injects everywhere without drawing.
+//
+//catnap:hotpath runs once per simulated cycle with synthetic traffic
 func (g *Generator) Tick(now int64) {
 	load := g.schedule.Load(now)
 	if load <= 0 {
 		return
 	}
+	draw := load < 1
+	thr := sim.BernoulliThreshold(load)
 	rows, cols := g.net.Topo().Rows(), g.net.Topo().Cols()
 	for src := range g.rngs {
-		if !g.rngs[src].Bernoulli(load) {
+		rng := &g.rngs[src]
+		if draw && rng.Uint64()>>11 >= thr {
 			continue
 		}
-		dst := g.pattern.Dest(g.rngs[src], src, rows, cols)
+		dst := g.pattern.Dest(rng, src, rows, cols)
 		g.net.NewPacket(src, dst, g.class, g.bits)
 		g.Offered++
 	}

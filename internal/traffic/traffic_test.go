@@ -254,3 +254,72 @@ func TestSetPacket(t *testing.T) {
 		t.Fatal("no packets at load 1")
 	}
 }
+
+// injection is one generated packet as the pattern saw it.
+type injection struct {
+	cycle    int64
+	src, dst int
+}
+
+// recordingPattern wraps a pattern and logs every destination it hands
+// out at the cycle the test sets; the generator calls Dest exactly once
+// per injected packet.
+type recordingPattern struct {
+	Pattern
+	now *int64
+	log *[]injection
+}
+
+func (p recordingPattern) Dest(rng *sim.RNG, src, rows, cols int) int {
+	d := p.Pattern.Dest(rng, src, rows, cols)
+	*p.log = append(*p.log, injection{*p.now, src, d})
+	return d
+}
+
+// TestTickMatchesBernoulliReference: Tick's hoisted integer coin over
+// by-value node streams is the per-node RNG.Bernoulli loop over
+// root.SplitN(i) streams it replaced — the same (cycle, src, dst)
+// sequence and every node's RNG left in the same state — including the
+// no-draw loads (0, and 1 or more).
+func TestTickMatchesBernoulliReference(t *testing.T) {
+	const seed, cycles = 17, 400
+	for _, load := range []float64{0, 0.002, 1, 1.5} {
+		net := newTestNet(t)
+		rows, cols := net.Topo().Rows(), net.Topo().Cols()
+		var now int64
+		var got []injection
+		gen := NewGenerator(net, recordingPattern{UniformRandom{}, &now, &got}, Constant(load), seed)
+
+		root := sim.NewRNG(seed)
+		ref := make([]*sim.RNG, net.Topo().Nodes())
+		for i := range ref {
+			ref[i] = root.SplitN(i)
+		}
+		var want []injection
+		for now = 0; now < cycles; now++ {
+			gen.Tick(now)
+			for src, rng := range ref {
+				if rng.Bernoulli(load) {
+					want = append(want, injection{now, src, UniformRandom{}.Dest(rng, src, rows, cols)})
+				}
+			}
+		}
+
+		if len(got) != len(want) || gen.Offered != int64(len(want)) {
+			t.Fatalf("load %v: %d injections (Offered %d), reference %d", load, len(got), gen.Offered, len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("load %v: injection %d = %+v, reference %+v", load, i, got[i], want[i])
+			}
+		}
+		for i := range ref {
+			if gen.rngs[i] != *ref[i] {
+				t.Fatalf("load %v: node %d RNG state diverged from the reference stream", load, i)
+			}
+		}
+		if load == 0.002 && len(want) == 0 {
+			t.Fatal("load 0.002 injected nothing: the comparison is vacuous")
+		}
+	}
+}
