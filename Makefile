@@ -10,15 +10,14 @@ all: check
 # first (cheap, fails fast on syntax), then the static-analysis gate
 # (lint = go vet + catnap-lint, run exactly once here — the race
 # targets no longer duplicate vet), then the plain test suite, the
-# differential suites under the race detector (check-race), the full
+# concurrency suites under the race detector (check-race), the full
 # suite under the race detector, the telemetry zero-overhead guard,
 # and the core stepping-cost guard last (slowest).
 check: build lint test check-race race bench-telemetry bench-core
 
 # lint is the single static-analysis entry point: go vet plus the
-# in-tree catnap-lint suite (nodeterminism, hotpathalloc,
-# stagingdiscipline, tracercontract, contractflow, resetcoverage,
-# missingdoc — see DESIGN.md "Static analysis"). -time prints the
+# in-tree catnap-lint suite (nodeterminism, hotpathalloc, contractflow,
+# resetcoverage, missingdoc — see DESIGN.md "Static analysis"). -time prints the
 # per-analyzer wall-time breakdown so a slow check is attributable.
 # catnap-lint also fails on malformed or unused //lint:ignore
 # directives, so stale suppressions cannot linger.
@@ -26,21 +25,17 @@ lint:
 	$(GO) vet ./...
 	$(GO) run ./cmd/catnap-lint -time ./...
 
-# check-race runs the noc + congestion + root differential suites under
-# the race detector: the sharded router phase, parallel subnets, mid-run
-# flips, drain, the incremental-vs-reference differentials, and the
-# reset/reuse differentials (Network.Reset vs fresh construction, SimPool
-# recycling across heterogeneous shapes) all exercise the concurrency
-# contract documented on SetExecMode (built-in policies, selector,
-# detector, and tracers must tolerate calls from worker goroutines).
-# TestShardedBuiltinPoliciesRace is the dedicated assertion; the
-# TestShardedMulticore* suite raises GOMAXPROCS to 8 so the StepPool
-# genuinely fans out; the rest catch staging/commit races against real
-# traffic.
+# check-race runs the suites that exercise the concurrency that remains
+# under the race detector. Network.Step is single-threaded; goroutines
+# exist only across sweep points: the internal/runner worker pool, the
+# per-worker SimPool reuse (with the shared topology precompute cache
+# underneath), and the telemetry Recorder whose Log every point of a
+# sweep shares. So: all of internal/runner and internal/telemetry, plus
+# the root sweep, SimPool, and telemetry tests.
 check-race:
+	$(GO) test -race -count=1 -timeout 60m ./internal/runner ./internal/telemetry
 	$(GO) test -race -count=1 -timeout 60m \
-		-run 'Sharded|Parallel|Incremental|Flip|Drain|Detector|Differential|IdleSkip|Reset|SimPool' \
-		./internal/noc ./internal/congestion .
+		-run 'Fig6ParallelMatchesSequential|AppWorkloadsBaselineNormalization|SweepPanic|RunCtxCancellation|SimPool|ReuseMatchesNoReuse|Telemetry' .
 
 build:
 	$(GO) build ./...
@@ -63,25 +58,22 @@ bench-telemetry:
 
 # bench-core times Network.Step across load/gating scenarios on both the
 # incremental path and the reference-scan path (min-of-5, interleaved),
-# sweeps the sharded scenarios' fast arm over GOMAXPROCS 1/2/4/8, writes
-# BENCH_core.json (ns/cycle, B/cycle, speedup per scenario plus the
-# per-GOMAXPROCS point matrix), and fails if the low-load gated speedup
-# regresses below 3x, if sharded stepping allocates beyond sequential
-# parity, if (on >=8-core machines) 8-shard stepping misses 3x at
-# GOMAXPROCS=8, or if the sweep-reuse pool misses 2x points/sec over
-# fresh construction — the O(active)-stepping, multicore-scaling, and
-# zero-rebuild-sweep guards. See DESIGN.md "Hot path" and §4i.
+# writes BENCH_core.json (ns/cycle, B/cycle, speedup per scenario), and
+# fails if the low-load gated speedup regresses below 3x, if the idle
+# gated steady state allocates, if idle fast-forward misses 100x, if the
+# warm explore cache misses 20x, or if the sweep-reuse pool misses 2x
+# points/sec over fresh construction (min-of-15, arms alternated) — the
+# O(active)-stepping, idle-skip, and zero-rebuild-sweep guards. See
+# DESIGN.md "Hot path" and §4i.
 bench-core:
 	CORE_BENCH=1 $(GO) test -run TestCoreBenchGuard -count=1 -timeout 30m .
 
 # bench-compare snapshots the bench-core report and diffs it against the
 # previous snapshot with cmd/catnap-benchdiff, which understands the
-# BENCH_core.json schema including the per-GOMAXPROCS point matrix (and
-# tolerates baselines from before the matrix existed). First run saves
-# the baseline; later runs print per-scenario and per-GOMAXPROCS deltas
-# and FAIL (exit 1) if any fast arm — scenario headline or individual
-# GOMAXPROCS point — slowed down by more than BENCH_FAIL_OVER percent,
-# or if baseline coverage was dropped. Override the threshold per run:
+# BENCH_core.json schema. First run saves the baseline; later runs print
+# per-scenario deltas and FAIL (exit 1) if any fast arm slowed down by
+# more than BENCH_FAIL_OVER percent, or if baseline coverage was
+# dropped. Override the threshold per run:
 # `make bench-compare BENCH_FAIL_OVER=50` (generous default because
 # min-of-5 wall-clock numbers on shared machines are noisy).
 BENCH_FAIL_OVER ?= 35

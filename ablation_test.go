@@ -6,9 +6,14 @@ import "testing"
 // Each reports the low-load CSC of the extreme variants so regressions in
 // the policy machinery show up as metric swings.
 
+// ablationScale keeps per-iteration cost moderate while staying long
+// enough for steady-state behaviour (warmup exceeds the longest wake-up
+// and RCS-latch transients by two orders of magnitude).
+var ablationScale = Scale{Warmup: 1500, Measure: 6000}
+
 func benchAblation(b *testing.B, study string) {
 	for i := 0; i < b.N; i++ {
-		pts, err := RunAblation(study, benchScale)
+		pts, err := RunAblation(study, ablationScale)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -6,18 +6,15 @@ package catnap
 // scan, so `go test -bench Step` compares the incremental path against
 // the pre-optimization implementation on the same tree).
 // TestCoreBenchGuard is the `make bench-core` entry point: it reruns the
-// matrix interleaved min-of-N, measures every sharded scenario's fast arm
-// at GOMAXPROCS 1/2/4/8 so the scaling trajectory is visible across PRs,
-// writes BENCH_core.json, and enforces the regression bounds — the
-// sleep-dominated low-load scenario must step at least 3x faster than the
-// reference scan, the idle-gated steady state must allocate exactly 0
-// bytes/cycle, sharded stepping must not allocate more per cycle than
-// sequential stepping, the sharded saturation scenario must beat
-// sequential stepping 3x at GOMAXPROCS=8 when enough physical cores
-// exist, idle fast-forward must beat stepping the same idle span
-// 100x, and the explore-cached scenario (a small real campaign rerun
-// against a warm result cache versus a cold one) must show at least a
-// 20x warm-over-cold win with byte-identical frontiers.
+// matrix interleaved min-of-N, writes BENCH_core.json, and enforces the
+// regression bounds — the sleep-dominated low-load scenario must step at
+// least 3x faster than the reference scan, the idle-gated steady state
+// must allocate exactly 0 bytes/cycle, idle fast-forward must beat
+// stepping the same idle span 100x, the explore-cached scenario (a small
+// real campaign rerun against a warm result cache versus a cold one) must
+// show at least a 20x warm-over-cold win with byte-identical frontiers,
+// and the sweep-reuse pool must provision points at least 2x faster than
+// fresh construction.
 //
 // All measurements cover the steady state only: simulator construction
 // and warmup run outside the timed (and allocation-counted) window, so
@@ -43,18 +40,15 @@ import (
 // router asleep — the O(active) best case), the paper's low-load region,
 // the Figure 12 burst schedule (sleep/wake churn), saturation (dense
 // occupancy, congestion churn — the no-win-available case), an ungated
-// single-subnet design (no power phase work at all), and saturation
-// under the sharded router phase (the parallel-stepping win case).
+// single-subnet design (no power phase work at all), and idle
+// fast-forward.
 type coreScenario struct {
 	name   string
 	design string
 	sched  traffic.Schedule
-	// shards > 0 runs the fast arm with that many router-phase shards
-	// (Config.ShardedRouters); 0 keeps sequential incremental stepping.
-	shards int
 	// refSeq selects the ref arm: false = the retained reference scan
-	// (pre-optimization baseline), true = sequential incremental
-	// stepping (the baseline a sharded fast arm must beat).
+	// (pre-optimization baseline), true = incremental stepping without
+	// idle fast-forward (the baseline the idle-skip fast arm must beat).
 	refSeq bool
 	// skip arms idle fast-forward on the fast arm. Every other scenario
 	// pins NoIdleSkip in BOTH arms: they measure per-cycle stepping cost,
@@ -74,11 +68,9 @@ var coreScenarios = []coreScenario{
 	{name: "bursty-gated", design: "4NT-128b-PG", sched: traffic.Fig12Bursts()},
 	{name: "saturation-gated", design: "4NT-128b-PG", sched: traffic.Constant(0.45)},
 	{name: "ungated-1NT", design: "1NT-512b", sched: traffic.Constant(0.10)},
-	{name: "saturation-gated-parallel", design: "4NT-128b-PG", sched: traffic.Constant(0.45),
-		shards: 8, refSeq: true},
 	// idle-skip measures the event-driven fast-forward win itself: the
-	// fully idle gated mesh with IdleSkip armed versus sequential
-	// incremental stepping of the same idle cycles (the O(active) path
+	// fully idle gated mesh with IdleSkip armed versus incremental
+	// stepping of the same idle cycles (the O(active) path
 	// the fast-forward replaces; the reference scan would overstate it).
 	{name: "idle-skip", design: "4NT-128b-PG", sched: traffic.Constant(0),
 		refSeq: true, skip: true},
@@ -90,17 +82,11 @@ var coreScenarios = []coreScenario{
 func buildCoreSim(sc coreScenario, ref bool) *Simulator {
 	cfg := mustDesign(sc.design)
 	cfg.NoIdleSkip = ref || !sc.skip
-	if !ref && sc.shards > 0 {
-		cfg.ShardedRouters = true
-		cfg.ShardCount = sc.shards
-	}
 	sim := mustSim(cfg)
 	if ref && !sc.refSeq {
 		m := sim.ExecMode()
 		m.ReferenceScan = true
-		if err := sim.SetExecMode(m); err != nil {
-			panic(err)
-		}
+		sim.SetExecMode(m)
 	}
 	return sim
 }
@@ -278,22 +264,29 @@ func runExploreCachedScenario(t *testing.T, reps int) coreBenchRow {
 // the same seeded traffic, so their Results must match exactly.
 var (
 	sweepReuseDesigns = []string{"1NT-512b", "2NT-256b", "4NT-128b", "4NT-128b-PG"}
-	sweepReuseLoads   = []float64{0, 0.002, 0.004}
+	sweepReuseLoads   = []float64{0, 0.001, 0.002, 0.003, 0.004, 0.005}
 )
 
 const (
 	sweepReuseWarmup  = 10
 	sweepReuseMeasure = 30
+	// sweepReuseReps is the guard's min-of-N for this scenario. Each arm
+	// is a few milliseconds, so a single scheduler hiccup or GC cycle is
+	// a large share of one rep; more reps make the minimum steady.
+	sweepReuseReps = 15
 )
 
 // runSweepReuseArm evaluates the whole grid once and returns the wall
-// clock, allocated bytes, and every point's Results in grid order.
+// clock, allocated bytes, and every point's Results in grid order. It
+// collects garbage before starting the clock, so neither arm pays for
+// the other arm's garbage.
 func runSweepReuseArm(reuse bool) (time.Duration, uint64, []Results, error) {
 	var pool *SimPool
 	if reuse {
 		pool = NewSimPool()
 	}
 	out := make([]Results, 0, len(sweepReuseDesigns)*len(sweepReuseLoads))
+	runtime.GC()
 	var ms0, ms1 runtime.MemStats
 	runtime.ReadMemStats(&ms0)
 	start := time.Now()
@@ -313,9 +306,11 @@ func runSweepReuseArm(reuse bool) (time.Duration, uint64, []Results, error) {
 	return elapsed, ms1.TotalAlloc - ms0.TotalAlloc, out, nil
 }
 
-// runSweepReuseScenario measures both arms interleaved min-of-reps and
-// asserts per-point bit-identity: simulator reuse is only a win if every
-// reused point reports exactly what a fresh simulator would.
+// runSweepReuseScenario measures both arms interleaved min-of-reps,
+// alternating which arm runs first so neither always inherits the other's
+// cache and allocator state, and asserts per-point bit-identity:
+// simulator reuse is only a win if every reused point reports exactly
+// what a fresh simulator would.
 func runSweepReuseScenario(t *testing.T, reps int) coreBenchRow {
 	t.Helper()
 	points := len(sweepReuseDesigns) * len(sweepReuseLoads)
@@ -330,13 +325,22 @@ func runSweepReuseScenario(t *testing.T, reps int) coreBenchRow {
 	freshNs, reuseNs := time.Duration(1<<63-1), time.Duration(1<<63-1)
 	freshBytes, reuseBytes := uint64(1<<64-1), uint64(1<<64-1)
 	for r := 0; r < reps; r++ {
-		fe, fb, fres, err := runSweepReuseArm(false)
-		if err != nil {
-			t.Fatalf("sweep-reuse fresh arm: %v", err)
+		var fe, re time.Duration
+		var fb, rb uint64
+		var fres, rres []Results
+		var ferr, rerr error
+		if r%2 == 0 {
+			fe, fb, fres, ferr = runSweepReuseArm(false)
+			re, rb, rres, rerr = runSweepReuseArm(true)
+		} else {
+			re, rb, rres, rerr = runSweepReuseArm(true)
+			fe, fb, fres, ferr = runSweepReuseArm(false)
 		}
-		re, rb, rres, err := runSweepReuseArm(true)
-		if err != nil {
-			t.Fatalf("sweep-reuse reuse arm: %v", err)
+		if ferr != nil {
+			t.Fatalf("sweep-reuse fresh arm: %v", ferr)
+		}
+		if rerr != nil {
+			t.Fatalf("sweep-reuse reuse arm: %v", rerr)
 		}
 		for i := range fres {
 			if !reflect.DeepEqual(fres[i], rres[i]) {
@@ -385,61 +389,36 @@ func TestSweepReuseSmoke(t *testing.T) {
 	runSweepReuseScenario(t, 1)
 }
 
-// gmpPoint is one GOMAXPROCS level of a sharded scenario's fast arm: the
-// same workload re-measured with the worker pool capped at that width.
-// Speedup is against the scenario's ref arm (sequential incremental
-// stepping, which has no parallelism to gain). Points above NumCPU are
-// recorded anyway — they show oversubscription honestly rather than
-// hiding it — so read the trajectory together with the report's num_cpu.
-type gmpPoint struct {
-	GOMAXPROCS        int     `json:"gomaxprocs"`
-	FastNsPerCycle    float64 `json:"fast_ns_per_cycle"`
-	FastBytesPerCycle float64 `json:"fast_bytes_per_cycle"`
-	Speedup           float64 `json:"speedup"`
-}
-
 // coreBenchRow is one scenario's entry in BENCH_core.json. The ref
 // columns are that scenario's baseline measured on the same tree and
 // machine — the retained reference scan (the original implementation,
-// kept verbatim) for the incremental scenarios, sequential incremental
-// stepping for the sharded one — so the speedup column is
-// machine-independent. Sharded scenarios additionally carry the
-// GOMAXPROCS 1/2/4/8 fast-arm matrix; the top-level fast columns are
-// measured at the ambient GOMAXPROCS.
+// kept verbatim) for the incremental scenarios, incremental stepping
+// without fast-forward for idle-skip — so the speedup column is
+// machine-independent.
 type coreBenchRow struct {
 	FastNsPerCycle    float64 `json:"fast_ns_per_cycle"`
 	RefNsPerCycle     float64 `json:"ref_ns_per_cycle"`
 	Speedup           float64 `json:"speedup"`
 	FastBytesPerCycle float64 `json:"fast_bytes_per_cycle"`
 	RefBytesPerCycle  float64 `json:"ref_bytes_per_cycle"`
-	Shards            int     `json:"shards,omitempty"`
 	RefMode           string  `json:"ref_mode"`
 	// Points/sec columns, set only by throughput-style scenarios
 	// (sweep-reuse): whole sweep points completed per second per arm.
 	// For those scenarios ns/cycle spreads per-point provisioning cost
 	// over simulated cycles and is not a stepping cost, so readers (and
 	// catnap-benchdiff) should prefer these columns when present.
-	FastPointsPerSec float64    `json:"fast_points_per_sec,omitempty"`
-	RefPointsPerSec  float64    `json:"ref_points_per_sec,omitempty"`
-	GOMAXPROCSPoints []gmpPoint `json:"gomaxprocs_points,omitempty"`
+	FastPointsPerSec float64 `json:"fast_points_per_sec,omitempty"`
+	RefPointsPerSec  float64 `json:"ref_points_per_sec,omitempty"`
 }
-
-// benchGOMAXPROCS is the fast-arm scaling matrix recorded for every
-// sharded scenario.
-var benchGOMAXPROCS = []int{1, 2, 4, 8}
 
 // TestCoreBenchGuard is the `make bench-core` guard: min-of-N wall clock
 // and allocation for every scenario in both arms, interleaved so machine
-// noise hits both arms alike, plus a GOMAXPROCS 1/2/4/8 fast-arm sweep
-// for the sharded scenarios, written to BENCH_core.json. It fails if the
+// noise hits both arms alike, written to BENCH_core.json. It fails if the
 // incremental path steps the low-load scenario less than 3x faster than
-// the reference scan, if the idle-gated steady state allocates at all,
-// if sharded stepping allocates more per cycle than its sequential ref
-// arm (the dispatch path must be alloc-free), or — on machines with at
-// least 8 physical cores — if 8-shard stepping fails to beat sequential
-// stepping 3x at saturation with GOMAXPROCS=8. Gated behind CORE_BENCH=1
-// because wall-clock assertions do not belong in the default -race test
-// run.
+// the reference scan, if the idle-gated steady state allocates at all, or
+// if any of the idle-skip, explore-cached, and sweep-reuse bounds is
+// missed. Gated behind CORE_BENCH=1 because wall-clock assertions do not
+// belong in the default -race test run.
 func TestCoreBenchGuard(t *testing.T) {
 	if os.Getenv("CORE_BENCH") == "" {
 		t.Skip("set CORE_BENCH=1 (or run `make bench-core`) to run the core stepping benchmark")
@@ -496,58 +475,16 @@ func TestCoreBenchGuard(t *testing.T) {
 		sc := arms[i].sc
 		refMode := "reference-scan"
 		if sc.refSeq {
-			refMode = "sequential-incremental"
+			refMode = "incremental-no-skip"
 		}
 		row := coreBenchRow{
 			FastNsPerCycle:    perCycle(bestNs[i]),
 			RefNsPerCycle:     perCycle(bestNs[i+1]),
 			FastBytesPerCycle: float64(bestBytes[i]) / coreBenchMeasure,
 			RefBytesPerCycle:  float64(bestBytes[i+1]) / coreBenchMeasure,
-			Shards:            sc.shards,
 			RefMode:           refMode,
 		}
 		row.Speedup = row.RefNsPerCycle / row.FastNsPerCycle
-
-		// GOMAXPROCS sweep: re-measure the sharded fast arm at each pool
-		// width. The simulator is rebuilt inside the adjusted GOMAXPROCS so
-		// the StepPool sizes itself to the target width; the ref arm is
-		// width-independent, so each point reuses the scenario's ref
-		// baseline. Every width must also reproduce the ref arm's results
-		// exactly — worker count is pure dispatch policy.
-		if sc.shards > 0 {
-			for _, width := range benchGOMAXPROCS {
-				prev := runtime.GOMAXPROCS(width)
-				pointNs := time.Duration(1<<63 - 1)
-				pointBytes := uint64(1<<64 - 1)
-				var pointRes Results
-				for r := 0; r < reps; r++ {
-					run := runCoreScenario(sc, false)
-					if run.elapsed < pointNs {
-						pointNs = run.elapsed
-					}
-					if run.bytes < pointBytes {
-						pointBytes = run.bytes
-					}
-					pointRes = run.res
-				}
-				runtime.GOMAXPROCS(prev)
-				if ref := results[i+1]; pointRes.AcceptedThroughput != ref.AcceptedThroughput ||
-					pointRes.AvgLatency != ref.AvgLatency || pointRes.Power.Total != ref.Power.Total {
-					t.Errorf("%s: GOMAXPROCS=%d arm diverged from ref (accepted %.6f vs %.6f, latency %.3f vs %.3f)",
-						sc.name, width, pointRes.AcceptedThroughput, ref.AcceptedThroughput,
-						pointRes.AvgLatency, ref.AvgLatency)
-				}
-				pt := gmpPoint{
-					GOMAXPROCS:        width,
-					FastNsPerCycle:    perCycle(pointNs),
-					FastBytesPerCycle: float64(pointBytes) / coreBenchMeasure,
-				}
-				pt.Speedup = row.RefNsPerCycle / pt.FastNsPerCycle
-				row.GOMAXPROCSPoints = append(row.GOMAXPROCSPoints, pt)
-				t.Logf("%-26s   GOMAXPROCS=%d fast %8.1f ns/cycle %7.1f B/cycle  speedup %.2fx",
-					sc.name, width, pt.FastNsPerCycle, pt.FastBytesPerCycle, pt.Speedup)
-			}
-		}
 
 		report.Scenarios[sc.name] = row
 		t.Logf("%-26s fast %8.1f ns/cycle %7.1f B/cycle  ref %8.1f ns/cycle %7.1f B/cycle  speedup %.2fx",
@@ -565,7 +502,7 @@ func TestCoreBenchGuard(t *testing.T) {
 	}
 
 	report.Scenarios["explore-cached"] = runExploreCachedScenario(t, reps)
-	report.Scenarios["sweep-reuse"] = runSweepReuseScenario(t, reps)
+	report.Scenarios["sweep-reuse"] = runSweepReuseScenario(t, sweepReuseReps)
 
 	out := os.Getenv("BENCH_CORE_OUT")
 	if out == "" {
@@ -588,7 +525,7 @@ func TestCoreBenchGuard(t *testing.T) {
 		t.Errorf("idle-gated steady state allocated %.1f bytes/cycle, want exactly 0", by)
 	}
 	if row := report.Scenarios["idle-skip"]; row.Speedup < 100 {
-		t.Errorf("idle-skip speedup %.2fx below the 100x guard (fast %.1f ns/cycle, sequential %.1f ns/cycle)",
+		t.Errorf("idle-skip speedup %.2fx below the 100x guard (fast %.1f ns/cycle, stepped %.1f ns/cycle)",
 			row.Speedup, row.FastNsPerCycle, row.RefNsPerCycle)
 	}
 	if row := report.Scenarios["explore-cached"]; row.Speedup < 20 {
@@ -598,44 +535,5 @@ func TestCoreBenchGuard(t *testing.T) {
 	if row := report.Scenarios["sweep-reuse"]; row.Speedup < 2.0 {
 		t.Errorf("sweep-reuse %.2fx below the 2x points/sec guard (reuse %.0f pts/s, fresh %.0f pts/s): in-place reset must keep per-point provisioning at least 2x cheaper than fresh construction",
 			row.Speedup, row.FastPointsPerSec, row.RefPointsPerSec)
-	}
-	// Alloc parity: the sharded dispatch path (pool fan-out, steal cursors,
-	// batched commit apply) must not allocate beyond what sequential
-	// stepping of the same workload allocates. The small absolute tolerance
-	// absorbs GC-timing jitter in the TotalAlloc deltas, nothing more.
-	par := report.Scenarios["saturation-gated-parallel"]
-	const allocParityTolerance = 8.0 // bytes/cycle
-	if par.FastBytesPerCycle > par.RefBytesPerCycle+allocParityTolerance {
-		t.Errorf("saturation-gated-parallel allocates %.2f B/cycle sharded vs %.2f B/cycle sequential: sharded dispatch must be alloc-free",
-			par.FastBytesPerCycle, par.RefBytesPerCycle)
-	}
-	for _, pt := range par.GOMAXPROCSPoints {
-		if pt.FastBytesPerCycle > par.RefBytesPerCycle+allocParityTolerance {
-			t.Errorf("saturation-gated-parallel at GOMAXPROCS=%d allocates %.2f B/cycle vs %.2f B/cycle sequential: sharded dispatch must be alloc-free",
-				pt.GOMAXPROCS, pt.FastBytesPerCycle, par.RefBytesPerCycle)
-		}
-	}
-
-	// The wall-clock scaling guard reads the GOMAXPROCS=8 point and only
-	// fires when 8 physical cores exist: below that the point measures
-	// oversubscription, which the report records honestly but no guard
-	// should fail on.
-	var at8 *gmpPoint
-	for k := range par.GOMAXPROCSPoints {
-		if par.GOMAXPROCSPoints[k].GOMAXPROCS == 8 {
-			at8 = &par.GOMAXPROCSPoints[k]
-		}
-	}
-	switch {
-	case at8 == nil:
-		t.Errorf("saturation-gated-parallel is missing its GOMAXPROCS=8 point")
-	case runtime.NumCPU() >= 8:
-		if at8.Speedup < 3.0 {
-			t.Errorf("saturation-gated-parallel speedup %.2fx below the 3x guard at %d shards, GOMAXPROCS=8 (fast %.1f ns/cycle, sequential %.1f ns/cycle)",
-				at8.Speedup, par.Shards, at8.FastNsPerCycle, par.RefNsPerCycle)
-		}
-	default:
-		t.Logf("saturation-gated-parallel: %.2fx at %d shards, GOMAXPROCS=8 recorded; 3x guard skipped (NumCPU=%d < 8)",
-			at8.Speedup, par.Shards, runtime.NumCPU())
 	}
 }

@@ -99,7 +99,7 @@ func TestGatingCutsPowerAtLowLoad(t *testing.T) {
 }
 
 func TestFig12SubnetsOpenDuringBurst(t *testing.T) {
-	points := RunFig12(3000, 50)
+	points := runFig12(ExperimentOpts{Total: 3000, Window: 50})
 	if len(points) < 50 {
 		t.Fatalf("got %d samples", len(points))
 	}
@@ -148,7 +148,7 @@ func TestFig7Runner(t *testing.T) {
 }
 
 func TestProfilesCharacterization(t *testing.T) {
-	rows, err := RunProfiles(Scale{Warmup: 500, Measure: 3000})
+	rows, err := runProfiles(context.Background(), ExperimentOpts{Scale: Scale{Warmup: 500, Measure: 3000}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,7 +174,7 @@ func TestProfilesCharacterization(t *testing.T) {
 }
 
 func TestHeteroRunner(t *testing.T) {
-	rows, err := RunHetero(Scale{Warmup: 2000, Measure: 6000})
+	rows, err := runHetero(context.Background(), ExperimentOpts{Scale: Scale{Warmup: 2000, Measure: 6000}})
 	if err != nil {
 		t.Fatal(err)
 	}

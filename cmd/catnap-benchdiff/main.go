@@ -1,25 +1,22 @@
 // Command catnap-benchdiff compares two BENCH_core.json reports (as
 // written by `make bench-core`) and prints per-scenario deltas: ns/cycle,
-// bytes/cycle, and speedup for the fast arm, plus every per-GOMAXPROCS
-// point of the sharded scenarios' scaling matrix. Throughput-style
-// scenarios (sweep-reuse) are reported in points/sec instead — their
-// ns/cycle column spreads per-point provisioning cost over simulated
-// cycles and is meaningless as a stepping cost — and regress when the
-// sweep throughput DROPS by more than the threshold. It tolerates older
-// reports that predate the matrix (missing gomaxprocs_points / num_cpu
-// fields) or the points/sec columns, so a baseline captured before the
-// schema change still diffs.
+// bytes/cycle, and speedup for the fast arm. Throughput-style scenarios
+// (sweep-reuse) are reported in points/sec instead — their ns/cycle
+// column spreads per-point provisioning cost over simulated cycles and
+// is meaningless as a stepping cost — and regress when the sweep
+// throughput DROPS by more than the threshold. Fields a report lacks
+// (num_cpu, the points/sec columns) read as zero, so older baselines
+// still diff.
 //
 // Usage:
 //
 //	catnap-benchdiff [-fail-over PCT] old.json new.json
 //
 // With -fail-over set, the exit status is 1 if any scenario's fast arm
-// (or any GOMAXPROCS point) slowed down by more than PCT percent, or if
-// a scenario or GOMAXPROCS point present in the baseline is missing
-// from the new report — a silently narrowed matrix is a regression in
-// coverage even when every surviving number improved. Without
-// -fail-over the tool is report-only.
+// slowed down by more than PCT percent, or if a scenario present in the
+// baseline is missing from the new report — a silently narrowed matrix is
+// a regression in coverage even when every surviving number improved.
+// Without -fail-over the tool is report-only.
 package main
 
 import (
@@ -31,29 +28,19 @@ import (
 	"sort"
 )
 
-// gmpPoint mirrors one entry of a scenario's gomaxprocs_points matrix.
-type gmpPoint struct {
-	GOMAXPROCS        int     `json:"gomaxprocs"`
-	FastNsPerCycle    float64 `json:"fast_ns_per_cycle"`
-	FastBytesPerCycle float64 `json:"fast_bytes_per_cycle"`
-	Speedup           float64 `json:"speedup"`
-}
-
 // benchRow mirrors one scenario entry of BENCH_core.json. The points/sec
 // columns are set only by throughput-style scenarios (sweep-reuse), where
 // ns/cycle spreads per-point provisioning cost over simulated cycles and
 // is not a stepping cost; those rows are reported in points/sec instead.
 type benchRow struct {
-	FastNsPerCycle    float64    `json:"fast_ns_per_cycle"`
-	RefNsPerCycle     float64    `json:"ref_ns_per_cycle"`
-	Speedup           float64    `json:"speedup"`
-	FastBytesPerCycle float64    `json:"fast_bytes_per_cycle"`
-	RefBytesPerCycle  float64    `json:"ref_bytes_per_cycle"`
-	Shards            int        `json:"shards"`
-	RefMode           string     `json:"ref_mode"`
-	FastPointsPerSec  float64    `json:"fast_points_per_sec"`
-	RefPointsPerSec   float64    `json:"ref_points_per_sec"`
-	GOMAXPROCSPoints  []gmpPoint `json:"gomaxprocs_points"`
+	FastNsPerCycle    float64 `json:"fast_ns_per_cycle"`
+	RefNsPerCycle     float64 `json:"ref_ns_per_cycle"`
+	Speedup           float64 `json:"speedup"`
+	FastBytesPerCycle float64 `json:"fast_bytes_per_cycle"`
+	RefBytesPerCycle  float64 `json:"ref_bytes_per_cycle"`
+	RefMode           string  `json:"ref_mode"`
+	FastPointsPerSec  float64 `json:"fast_points_per_sec"`
+	RefPointsPerSec   float64 `json:"ref_points_per_sec"`
 }
 
 // benchReport mirrors the top level of BENCH_core.json.
@@ -90,9 +77,8 @@ func pct(oldV, newV float64) float64 {
 }
 
 // diff writes the full comparison to w and reports whether the new
-// report regressed: a fast arm (scenario or GOMAXPROCS point) slower by
-// more than failOver percent, or baseline coverage (a scenario or a
-// GOMAXPROCS point) dropped from the new report. failOver <= 0 means
+// report regressed: a fast arm slower by more than failOver percent, or a
+// baseline scenario dropped from the new report. failOver <= 0 means
 // report-only — nothing regresses.
 func diff(w io.Writer, oldR, newR benchReport, failOver float64) bool {
 	if oldR.Cycles != newR.Cycles || oldR.Reps != newR.Reps {
@@ -110,18 +96,6 @@ func diff(w io.Writer, oldR, newR benchReport, failOver float64) bool {
 	sort.Strings(names)
 
 	regressed := false
-	row := func(label string, oldOK bool, oldNs, newNs, oldBy, newBy, oldSp, newSp float64) {
-		if !oldOK {
-			fmt.Fprintf(w, "%-26s %12.1f (new)    %10.1f (new)  %8.2fx (new)\n", label, newNs, newBy, newSp)
-			return
-		}
-		d := pct(oldNs, newNs)
-		if failOver > 0 && d > failOver {
-			regressed = true
-		}
-		fmt.Fprintf(w, "%-26s %8.1f -> %8.1f (%+6.1f%%) %6.1f -> %6.1f  %5.2fx -> %5.2fx\n",
-			label, oldNs, newNs, d, oldBy, newBy, oldSp, newSp)
-	}
 
 	for _, name := range names {
 		n := newR.Scenarios[name]
@@ -143,36 +117,16 @@ func diff(w io.Writer, oldR, newR benchReport, failOver float64) bool {
 			}
 			continue
 		}
-		row(name, ok, o.FastNsPerCycle, n.FastNsPerCycle,
-			o.FastBytesPerCycle, n.FastBytesPerCycle, o.Speedup, n.Speedup)
-		covered := make(map[int]bool, len(n.GOMAXPROCSPoints))
-		for _, np := range n.GOMAXPROCSPoints {
-			covered[np.GOMAXPROCS] = true
-			var op gmpPoint
-			opOK := false
-			if ok {
-				for _, p := range o.GOMAXPROCSPoints {
-					if p.GOMAXPROCS == np.GOMAXPROCS {
-						op, opOK = p, true
-						break
-					}
-				}
-			}
-			row(fmt.Sprintf("  GOMAXPROCS=%d", np.GOMAXPROCS), opOK,
-				op.FastNsPerCycle, np.FastNsPerCycle,
-				op.FastBytesPerCycle, np.FastBytesPerCycle, op.Speedup, np.Speedup)
+		if !ok {
+			fmt.Fprintf(w, "%-26s %12.1f (new)    %10.1f (new)  %8.2fx (new)\n", name, n.FastNsPerCycle, n.FastBytesPerCycle, n.Speedup)
+			continue
 		}
-		// A GOMAXPROCS point the baseline measured but the new report
-		// doesn't is lost multicore coverage, not an improvement.
-		for _, op := range o.GOMAXPROCSPoints {
-			if !covered[op.GOMAXPROCS] {
-				fmt.Fprintf(w, "  GOMAXPROCS=%-13d dropped from new report (was %.1f ns/cycle)\n",
-					op.GOMAXPROCS, op.FastNsPerCycle)
-				if failOver > 0 {
-					regressed = true
-				}
-			}
+		d := pct(o.FastNsPerCycle, n.FastNsPerCycle)
+		if failOver > 0 && d > failOver {
+			regressed = true
 		}
+		fmt.Fprintf(w, "%-26s %8.1f -> %8.1f (%+6.1f%%) %6.1f -> %6.1f  %5.2fx -> %5.2fx\n",
+			name, o.FastNsPerCycle, n.FastNsPerCycle, d, o.FastBytesPerCycle, n.FastBytesPerCycle, o.Speedup, n.Speedup)
 	}
 	dropped := make([]string, 0)
 	for name := range oldR.Scenarios {

@@ -15,15 +15,8 @@ func report(scenarios map[string]benchRow) benchReport {
 
 func baselineReport() benchReport {
 	return report(map[string]benchRow{
-		"lowload-gated": {FastNsPerCycle: 100, RefNsPerCycle: 500, Speedup: 5},
-		"sharded": {
-			FastNsPerCycle: 50, RefNsPerCycle: 200, Speedup: 4, Shards: 8,
-			GOMAXPROCSPoints: []gmpPoint{
-				{GOMAXPROCS: 1, FastNsPerCycle: 180, Speedup: 1.1},
-				{GOMAXPROCS: 4, FastNsPerCycle: 70, Speedup: 2.9},
-				{GOMAXPROCS: 8, FastNsPerCycle: 50, Speedup: 4},
-			},
-		},
+		"lowload-gated":    {FastNsPerCycle: 100, RefNsPerCycle: 500, Speedup: 5},
+		"saturation-gated": {FastNsPerCycle: 50, RefNsPerCycle: 200, Speedup: 4, RefMode: "reference-scan"},
 	})
 }
 
@@ -33,7 +26,7 @@ func TestDiffNoRegression(t *testing.T) {
 		t.Fatalf("identical reports flagged as regression:\n%s", buf.String())
 	}
 	out := buf.String()
-	for _, want := range []string{"lowload-gated", "GOMAXPROCS=1", "GOMAXPROCS=4", "GOMAXPROCS=8"} {
+	for _, want := range []string{"lowload-gated", "saturation-gated"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
@@ -55,48 +48,6 @@ func TestDiffCatchesScenarioSlowdown(t *testing.T) {
 	}
 	if diff(&buf, baselineReport(), newR, 0) {
 		t.Fatal("report-only mode (fail-over 0) flagged a regression")
-	}
-}
-
-func TestDiffCatchesGMPPointSlowdown(t *testing.T) {
-	// The scenario headline improves while one GOMAXPROCS point craters:
-	// exactly the multicore regression the per-point diff exists to catch.
-	newR := baselineReport()
-	row := newR.Scenarios["sharded"]
-	row.FastNsPerCycle = 45
-	row.GOMAXPROCSPoints = []gmpPoint{
-		{GOMAXPROCS: 1, FastNsPerCycle: 170, Speedup: 1.2},
-		{GOMAXPROCS: 4, FastNsPerCycle: 160, Speedup: 1.3}, // was 70
-		{GOMAXPROCS: 8, FastNsPerCycle: 45, Speedup: 4.4},
-	}
-	newR.Scenarios["sharded"] = row
-
-	var buf bytes.Buffer
-	if !diff(&buf, baselineReport(), newR, 35) {
-		t.Fatalf("GOMAXPROCS=4 slowdown hidden by improved headline:\n%s", buf.String())
-	}
-}
-
-func TestDiffCatchesDroppedGMPPoint(t *testing.T) {
-	newR := baselineReport()
-	row := newR.Scenarios["sharded"]
-	row.GOMAXPROCSPoints = row.GOMAXPROCSPoints[:2] // GOMAXPROCS=8 gone
-	newR.Scenarios["sharded"] = row
-
-	var buf bytes.Buffer
-	if !diff(&buf, baselineReport(), newR, 35) {
-		t.Fatal("dropped GOMAXPROCS point not flagged")
-	}
-	if !strings.Contains(buf.String(), "dropped from new report") {
-		t.Errorf("output does not name the dropped point:\n%s", buf.String())
-	}
-	// Report-only mode still prints the drop but does not fail.
-	buf.Reset()
-	if diff(&buf, baselineReport(), newR, 0) {
-		t.Fatal("report-only mode failed on dropped point")
-	}
-	if !strings.Contains(buf.String(), "dropped from new report") {
-		t.Error("report-only mode hid the dropped point")
 	}
 }
 
@@ -152,19 +103,19 @@ func TestDiffThroughputScenario(t *testing.T) {
 
 func TestDiffCatchesDroppedScenario(t *testing.T) {
 	newR := baselineReport()
-	delete(newR.Scenarios, "sharded")
+	delete(newR.Scenarios, "saturation-gated")
 	var buf bytes.Buffer
 	if !diff(&buf, baselineReport(), newR, 35) {
 		t.Fatal("dropped scenario not flagged")
 	}
-	if !strings.Contains(buf.String(), "sharded") {
+	if !strings.Contains(buf.String(), "saturation-gated") {
 		t.Errorf("output does not name the dropped scenario:\n%s", buf.String())
 	}
 }
 
 func TestDiffNewScenarioAndPointNeverRegress(t *testing.T) {
-	// Old baselines predate both the explore-cached scenario and the
-	// GOMAXPROCS matrix; fresh coverage must never trip the gate.
+	// Old baselines predate later scenarios; fresh coverage must never
+	// trip the gate.
 	oldR := report(map[string]benchRow{
 		"lowload-gated": {FastNsPerCycle: 100, RefNsPerCycle: 500, Speedup: 5},
 	})
@@ -202,7 +153,7 @@ func TestLoadRejectsNonReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(r.Scenarios) != 2 || r.Scenarios["sharded"].GOMAXPROCSPoints[2].GOMAXPROCS != 8 {
+	if len(r.Scenarios) != 2 || r.Scenarios["saturation-gated"].RefMode != "reference-scan" {
 		t.Fatalf("round-trip lost data: %+v", r)
 	}
 }

@@ -1,6 +1,6 @@
 // catnap-lint is the multichecker for catnap's custom static analyses:
-// the determinism, zero-alloc, commit-queue staging, tracer-contract,
-// and API-doc rules documented in DESIGN.md "Static analysis". It is
+// the determinism, zero-alloc, contract-propagation, reset-coverage, and
+// API-doc rules documented in DESIGN.md "Static analysis". It is
 // dependency-free — the driver under internal/analysis mirrors the
 // golang.org/x/tools/go/analysis shape on the standard toolchain alone —
 // and runs from make lint (part of make check).

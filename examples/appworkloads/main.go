@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -27,10 +28,13 @@ func main() {
 	fmt.Printf("%-14s %-14s %9s %9s %9s %7s %7s\n",
 		"workload", "design", "dyn (W)", "stat (W)", "total (W)", "CSC%", "perf")
 	for _, mix := range splitList(*mixes) {
-		rows, err := catnap.RunAppWorkloads(sc, []string{mix}, []string{"1NT-512b", "4NT-128b-PG"})
+		res, err := catnap.RunExperiment(context.Background(), "fig8", catnap.ExperimentOpts{
+			Scale: sc, Mixes: []string{mix}, Designs: []string{"1NT-512b", "4NT-128b-PG"},
+		})
 		if err != nil {
 			log.Fatal(err)
 		}
+		rows := res.Data.([]catnap.AppRow)
 		for _, r := range rows {
 			fmt.Printf("%-14s %-14s %9.1f %9.1f %9.1f %7.1f %7.3f\n",
 				r.Workload, r.Design,

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,10 +26,12 @@ func main() {
 	}
 	fmt.Printf("  CSC@%.2f\n", loads[0])
 
-	points, err := catnap.RunFig11(sc, "transpose", loads)
+	res, err := catnap.RunExperiment(context.Background(), "fig11",
+		catnap.ExperimentOpts{Scale: sc, Pattern: "transpose", Loads: loads})
 	if err != nil {
 		log.Fatal(err)
 	}
+	points := res.Data.([]catnap.Fig11Point)
 
 	// Group the sweep by policy for tabular printing.
 	byPolicy := map[string][]catnap.Fig11Point{}

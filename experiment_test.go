@@ -30,7 +30,7 @@ func TestFig6ParallelMatchesSequential(t *testing.T) {
 		}
 	}
 	for _, jobs := range []int{1, 4} {
-		got, err := RunFig6Ctx(context.Background(), testScale, testLoads, SweepOptions{Jobs: jobs})
+		got, err := runFig6(context.Background(), ExperimentOpts{Scale: testScale, Loads: testLoads, Sweep: SweepOptions{Jobs: jobs}})
 		if err != nil {
 			t.Fatalf("jobs=%d: %v", jobs, err)
 		}
@@ -45,7 +45,7 @@ func TestFig6ParallelMatchesSequential(t *testing.T) {
 // normalize against a dedicated baseline run per mix.
 func TestAppWorkloadsBaselineNormalization(t *testing.T) {
 	sc := Scale{Warmup: 150, Measure: 300}
-	rows, err := RunAppWorkloadsCtx(context.Background(), sc, []string{"Light"}, []string{"4NT-128b-PG"}, SweepOptions{Jobs: 2})
+	rows, err := runAppWorkloads(context.Background(), ExperimentOpts{Scale: sc, Mixes: []string{"Light"}, Designs: []string{"4NT-128b-PG"}, Sweep: SweepOptions{Jobs: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,7 @@ func TestAppWorkloadsBaselineNormalization(t *testing.T) {
 }
 
 // TestRunCtxCancellation: a cancelled context stops the run between
-// cycles and surfaces the context error from the Ctx entry points.
+// cycles and surfaces the context error from every entry point.
 func TestRunCtxCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
@@ -73,8 +73,8 @@ func TestRunCtxCancellation(t *testing.T) {
 	if _, err := sim.RunSyntheticCtx(ctx, traffic.UniformRandom{}, traffic.Constant(0.05), 1000, 1000); !errors.Is(err, context.Canceled) {
 		t.Fatalf("RunSyntheticCtx err = %v, want Canceled", err)
 	}
-	if _, err := RunFig6Ctx(ctx, testScale, testLoads, SweepOptions{Jobs: 2}); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunFig6Ctx err = %v, want Canceled", err)
+	if _, err := RunExperiment(ctx, "fig6", ExperimentOpts{Scale: testScale, Loads: testLoads, Sweep: SweepOptions{Jobs: 2}}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunExperiment(fig6) err = %v, want Canceled", err)
 	}
 }
 
@@ -116,7 +116,7 @@ func TestExperimentRegistry(t *testing.T) {
 			t.Errorf("experiment %q lacks metadata: %+v", e.Name, e)
 		}
 	}
-	_, err := RunExperiment(context.Background(), "fig99", ExperimentOptions{})
+	_, err := RunExperiment(context.Background(), "fig99", ExperimentOpts{})
 	if err == nil || !strings.Contains(err.Error(), "fig6") {
 		t.Fatalf("unknown-experiment error should list valid choices, got: %v", err)
 	}
@@ -125,7 +125,7 @@ func TestExperimentRegistry(t *testing.T) {
 // TestRunExperimentTable2 runs the cheapest registry entry end to end
 // and checks the rendered table matches the typed data.
 func TestRunExperimentTable2(t *testing.T) {
-	res, err := RunExperiment(context.Background(), "table2", ExperimentOptions{})
+	res, err := RunExperiment(context.Background(), "table2", ExperimentOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestRunExperimentTable2(t *testing.T) {
 // TestRunExperimentFig6 runs a sweep-backed registry entry at tiny scale
 // and checks cancellation propagates through RunExperiment.
 func TestRunExperimentFig6(t *testing.T) {
-	res, err := RunExperiment(context.Background(), "fig6", ExperimentOptions{
+	res, err := RunExperiment(context.Background(), "fig6", ExperimentOpts{
 		Scale: testScale, Loads: testLoads, Sweep: SweepOptions{Jobs: 2},
 	})
 	if err != nil {
@@ -161,7 +161,7 @@ func TestRunExperimentFig6(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunExperiment(ctx, "fig6", ExperimentOptions{Scale: testScale, Loads: testLoads}); !errors.Is(err, context.Canceled) {
+	if _, err := RunExperiment(ctx, "fig6", ExperimentOpts{Scale: testScale, Loads: testLoads}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled RunExperiment err = %v", err)
 	}
 }
@@ -175,7 +175,7 @@ func TestSweepPanicIsReported(t *testing.T) {
 		{"RR", func() Config { return mustDesign("4NT-128b-PG-RR") }},
 		{"broken", func() Config { panic("policy config exploded") }},
 	}
-	_, err := RunFig11Ctx(context.Background(), Scale{Warmup: 100, Measure: 200}, "uniform-random", []float64{0.05}, SweepOptions{Jobs: 2})
+	_, err := runFig11(context.Background(), ExperimentOpts{Scale: Scale{Warmup: 100, Measure: 200}, Pattern: "uniform-random", Loads: []float64{0.05}, Sweep: SweepOptions{Jobs: 2}})
 	if err == nil || !strings.Contains(err.Error(), "broken") || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("panic not reported cleanly: %v", err)
 	}
@@ -184,7 +184,7 @@ func TestSweepPanicIsReported(t *testing.T) {
 // TestFig11UnknownPatternError: the user-reachable pattern name errors
 // up front, listing the valid choices, instead of panicking.
 func TestFig11UnknownPatternError(t *testing.T) {
-	_, err := RunFig11(Scale{}, "no-such-pattern", nil)
+	_, err := runFig11(context.Background(), ExperimentOpts{Pattern: "no-such-pattern"})
 	if err == nil || !strings.Contains(err.Error(), "transpose") {
 		t.Fatalf("want an error listing valid patterns, got: %v", err)
 	}

@@ -13,18 +13,17 @@ import (
 	"github.com/catnap-noc/catnap/internal/workload"
 )
 
-// This file contains one runner per table/figure of the paper's
-// evaluation. Each returns plain data structures that cmd/catnap renders
-// as the paper's rows/series and bench_test.go exercises. Cycle counts are
-// parameters so benchmarks can trade precision for time; zero selects the
-// defaults used in EXPERIMENTS.md.
+// This file contains one unexported runner per table/figure of the
+// paper's evaluation; RunExperiment (experiment.go) is the public route to
+// every one of them. Each returns plain data structures that the registry
+// renders as the paper's rows/series. Cycle counts come from
+// ExperimentOpts.Scale so callers can trade precision for time; zero
+// selects the defaults used in EXPERIMENTS.md.
 //
-// Every grid-shaped runner (design × load and similar products) has a
-// Ctx variant that executes its points on the internal/runner worker
-// pool. The points are independent — each builds its own simulator with
-// its own seeded RNG — so results are bit-identical at any worker count;
-// the plain RunFigN functions are thin wrappers over the Ctx variants
-// with a background context and default SweepOptions.
+// Every grid-shaped runner (design × load and similar products) executes
+// its points on the internal/runner worker pool. The points are
+// independent — each builds its own simulator with its own seeded RNG —
+// so results are bit-identical at any worker count.
 
 // SweepProgress receives per-point start/finish/error events from the
 // sweep engine; see internal/runner for the event schema and
@@ -61,7 +60,7 @@ func sweep[T any](ctx context.Context, pts []runner.Point[T], opts SweepOptions)
 
 // newSim builds a simulator for a registered design, returning (not
 // panicking on) lookup errors so engine points degrade cleanly. The
-// opts carry simulator-level tuning (SimWorkers) into the config.
+// opts carry simulator-level tuning (NoIdleSkip) into the config.
 func newSim(design string, o ExperimentOpts) (*Simulator, error) {
 	cfg, err := Design(design)
 	if err != nil {
@@ -92,17 +91,10 @@ func newSimCtx(ctx context.Context, design string, o ExperimentOpts) (*Simulator
 }
 
 // tuneCfg applies the simulator-level options to one design config:
-// SimWorkers maps onto Config.ShardedRouters/ShardCount and NoIdleSkip
-// onto Config.NoIdleSkip. Every runner routes its configs through here
-// so a single -sim-workers or -no-skip flag reaches all simulators an
-// experiment builds.
+// NoIdleSkip maps onto Config.NoIdleSkip. Every runner routes its
+// configs through here so a single -no-skip flag reaches all simulators
+// an experiment builds.
 func (o ExperimentOpts) tuneCfg(cfg Config) Config {
-	if o.SimWorkers != 0 {
-		cfg.ShardedRouters = true
-		if o.SimWorkers > 0 {
-			cfg.ShardCount = o.SimWorkers
-		}
-	}
 	if o.NoIdleSkip {
 		cfg.NoIdleSkip = true
 	}
@@ -112,17 +104,6 @@ func (o ExperimentOpts) tuneCfg(cfg Config) Config {
 // pointLabel names a (design, load) point for progress output.
 func pointLabel(design string, load float64) string {
 	return fmt.Sprintf("%s @ %.2f", design, load)
-}
-
-// mustSweep adapts a Ctx runner to the legacy error-free wrapper
-// signature. With a background context and the built-in design names the
-// error path is unreachable (it would be a programmer error, matching
-// the previous mustDesign/mustSim panics).
-func mustSweep[T any](vals []T, err error) []T {
-	if err != nil {
-		panic(err)
-	}
-	return vals
 }
 
 // Scale selects simulation lengths for the canned experiments.
@@ -185,14 +166,7 @@ type Fig2Row struct {
 	Normalized float64 // to the 512-bit design for the same workload
 }
 
-// RunFig2 reproduces Figure 2.
-//
-// Deprecated: use RunExperiment(ctx, "fig2", opts).
-func RunFig2(sc Scale) ([]Fig2Row, error) {
-	return runFig2(ExperimentOpts{Scale: sc})
-}
-
-// runFig2 is the fig2 implementation over consolidated options.
+// runFig2 reproduces Figure 2.
 func runFig2(o ExperimentOpts) ([]Fig2Row, error) {
 	sc := o.Scale.or(DefaultAppScale.Warmup, DefaultAppScale.Measure)
 	var rows []Fig2Row
@@ -246,22 +220,8 @@ type Fig6Point struct {
 // Fig6Designs are the bandwidth-equivalent configurations compared.
 var Fig6Designs = []string{"1NT-512b", "2NT-256b", "4NT-128b", "8NT-64b"}
 
-// RunFig6 sweeps uniform-random load over the Figure 6 designs (no power
+// runFig6 sweeps uniform-random load over the Figure 6 designs (no power
 // gating, round-robin selection — the §5 characterization).
-//
-// Deprecated: use RunExperiment(ctx, "fig6", opts).
-func RunFig6(sc Scale, loads []float64) []Fig6Point {
-	return mustSweep(RunFig6Ctx(context.Background(), sc, loads, SweepOptions{}))
-}
-
-// RunFig6Ctx is RunFig6 on the parallel sweep engine.
-//
-// Deprecated: use RunExperiment(ctx, "fig6", opts).
-func RunFig6Ctx(ctx context.Context, sc Scale, loads []float64, opts SweepOptions) ([]Fig6Point, error) {
-	return runFig6(ctx, ExperimentOpts{Scale: sc, Loads: loads, Sweep: opts})
-}
-
-// runFig6 is the fig6 implementation over consolidated options.
 func runFig6(ctx context.Context, o ExperimentOpts) ([]Fig6Point, error) {
 	sc := o.Scale.or(DefaultSyntheticScale.Warmup, DefaultSyntheticScale.Measure)
 	loads := o.Loads
@@ -339,23 +299,9 @@ var Fig8Designs = []string{"1NT-128b", "1NT-512b", "4NT-128b", "1NT-128b-PG", "1
 // AppWorkloadNames are the Table 3 mixes in demand order.
 var AppWorkloadNames = []string{"Light", "Medium-Light", "Medium-Heavy", "Heavy"}
 
-// RunAppWorkloads runs every (mix, design) pair of Figures 8/9 and
-// returns the full matrix. RunFig8/RunFig9/RunHeadline all derive from it.
-//
-// Deprecated: use RunExperiment(ctx, "fig8", opts) (or "fig9").
-func RunAppWorkloads(sc Scale, mixes, designs []string) ([]AppRow, error) {
-	return RunAppWorkloadsCtx(context.Background(), sc, mixes, designs, SweepOptions{})
-}
-
-// RunAppWorkloadsCtx is RunAppWorkloads on the parallel sweep engine.
-//
-// Deprecated: use RunExperiment(ctx, "fig8", opts) (or "fig9").
-func RunAppWorkloadsCtx(ctx context.Context, sc Scale, mixes, designs []string, opts SweepOptions) ([]AppRow, error) {
-	return runAppWorkloads(ctx, ExperimentOpts{Scale: sc, Mixes: mixes, Designs: designs, Sweep: opts})
-}
-
-// runAppWorkloads is the fig8/fig9 implementation over consolidated
-// options. The (mix, design) points are independent; normalization
+// runAppWorkloads runs every (mix, design) pair of Figures 8/9 and
+// returns the full matrix; fig8, fig9 and headline all derive from it.
+// The (mix, design) points are independent; normalization
 // against the 1NT-512b baseline happens after the sweep (with a
 // dedicated baseline point per mix appended when the caller's design
 // list omits it).
@@ -444,21 +390,7 @@ type Fig10Point struct {
 // Fig10Designs are Figure 10's four configurations.
 var Fig10Designs = []string{"1NT-512b", "4NT-128b", "1NT-512b-PG", "4NT-128b-PG"}
 
-// RunFig10 sweeps uniform-random load over the four designs.
-//
-// Deprecated: use RunExperiment(ctx, "fig10", opts).
-func RunFig10(sc Scale, loads []float64) []Fig10Point {
-	return mustSweep(RunFig10Ctx(context.Background(), sc, loads, SweepOptions{}))
-}
-
-// RunFig10Ctx is RunFig10 on the parallel sweep engine.
-//
-// Deprecated: use RunExperiment(ctx, "fig10", opts).
-func RunFig10Ctx(ctx context.Context, sc Scale, loads []float64, opts SweepOptions) ([]Fig10Point, error) {
-	return runFig10(ctx, ExperimentOpts{Scale: sc, Loads: loads, Sweep: opts})
-}
-
-// runFig10 is the fig10 implementation over consolidated options.
+// runFig10 sweeps uniform-random load over the four designs.
 func runFig10(ctx context.Context, o ExperimentOpts) ([]Fig10Point, error) {
 	sc := o.Scale.or(DefaultSyntheticScale.Warmup, DefaultSyntheticScale.Measure)
 	loads := o.Loads
@@ -535,23 +467,9 @@ type Fig11Point struct {
 	CSCPercent float64
 }
 
-// RunFig11 sweeps one traffic pattern over the six policies. patternName
-// is "uniform-random", "transpose" or "bit-complement" (panels a–c); the
-// CSC column doubles as panel (d) for the RR and BFM rows.
-//
-// Deprecated: use RunExperiment(ctx, "fig11", opts).
-func RunFig11(sc Scale, patternName string, loads []float64) ([]Fig11Point, error) {
-	return RunFig11Ctx(context.Background(), sc, patternName, loads, SweepOptions{})
-}
-
-// RunFig11Ctx is RunFig11 on the parallel sweep engine.
-//
-// Deprecated: use RunExperiment(ctx, "fig11", opts).
-func RunFig11Ctx(ctx context.Context, sc Scale, patternName string, loads []float64, opts SweepOptions) ([]Fig11Point, error) {
-	return runFig11(ctx, ExperimentOpts{Scale: sc, Pattern: patternName, Loads: loads, Sweep: opts})
-}
-
-// runFig11 is the fig11 implementation over consolidated options. An
+// runFig11 sweeps one traffic pattern over the six policies. The
+// pattern is "uniform-random", "transpose" or "bit-complement" (panels
+// a–c); the CSC column doubles as panel (d) for the RR and BFM rows. An
 // unknown pattern name errors up front (listing the valid choices)
 // before any point runs.
 func runFig11(ctx context.Context, o ExperimentOpts) ([]Fig11Point, error) {
@@ -605,17 +523,9 @@ type Fig12Point struct {
 	SubnetShare []float64 // fraction of injected flits per subnet
 }
 
-// RunFig12 runs the two-burst schedule on the Catnap design and samples
-// throughput and subnet utilization every `window` cycles (50 in the
-// paper). total is the simulated length (3000 cycles in the paper).
-//
-// Deprecated: use RunExperiment(ctx, "fig12", opts).
-func RunFig12(total, window int64) []Fig12Point {
-	return runFig12(ExperimentOpts{Total: total, Window: window})
-}
-
-// runFig12 is the fig12 implementation over consolidated options. It is
-// the one canned experiment that honors ExperimentOpts.Telemetry
+// runFig12 runs the two-burst schedule on the Catnap design and samples
+// throughput and subnet utilization every Window cycles (50 in the
+// paper) over Total cycles (3000 in the paper). It is the one canned experiment that honors ExperimentOpts.Telemetry
 // directly: a non-nil recorder is attached to the single simulated
 // network, so its metrics carry the windowed per-subnet power-state
 // series the burst plots are built from.
@@ -691,22 +601,8 @@ type Fig13Point struct {
 // Fig13Thresholds are the swept IR thresholds (packets/node/cycle).
 var Fig13Thresholds = []float64{0.04, 0.08, 0.12, 0.16, 0.20, 0.24}
 
-// RunFig13 sweeps IR-threshold subnet selection (no power gating, as in
+// runFig13 sweeps IR-threshold subnet selection (no power gating, as in
 // the paper) over uniform-random and transpose traffic.
-//
-// Deprecated: use RunExperiment(ctx, "fig13", opts).
-func RunFig13(sc Scale, loads []float64) ([]Fig13Point, error) {
-	return RunFig13Ctx(context.Background(), sc, loads, SweepOptions{})
-}
-
-// RunFig13Ctx is RunFig13 on the parallel sweep engine.
-//
-// Deprecated: use RunExperiment(ctx, "fig13", opts).
-func RunFig13Ctx(ctx context.Context, sc Scale, loads []float64, opts SweepOptions) ([]Fig13Point, error) {
-	return runFig13(ctx, ExperimentOpts{Scale: sc, Loads: loads, Sweep: opts})
-}
-
-// runFig13 is the fig13 implementation over consolidated options.
 func runFig13(ctx context.Context, o ExperimentOpts) ([]Fig13Point, error) {
 	sc := o.Scale.or(DefaultSyntheticScale.Warmup, DefaultSyntheticScale.Measure)
 	loads := o.Loads
@@ -763,21 +659,7 @@ type Fig14Point struct {
 	Accepted   float64
 }
 
-// RunFig14 sweeps uniform random over the 64-core designs.
-//
-// Deprecated: use RunExperiment(ctx, "fig14", opts).
-func RunFig14(sc Scale, loads []float64) []Fig14Point {
-	return mustSweep(RunFig14Ctx(context.Background(), sc, loads, SweepOptions{}))
-}
-
-// RunFig14Ctx is RunFig14 on the parallel sweep engine.
-//
-// Deprecated: use RunExperiment(ctx, "fig14", opts).
-func RunFig14Ctx(ctx context.Context, sc Scale, loads []float64, opts SweepOptions) ([]Fig14Point, error) {
-	return runFig14(ctx, ExperimentOpts{Scale: sc, Loads: loads, Sweep: opts})
-}
-
-// runFig14 is the fig14 implementation over consolidated options.
+// runFig14 sweeps uniform random over the 64-core designs.
 func runFig14(ctx context.Context, o ExperimentOpts) ([]Fig14Point, error) {
 	sc := o.Scale.or(DefaultSyntheticScale.Warmup, DefaultSyntheticScale.Measure)
 	loads := o.Loads
@@ -825,24 +707,9 @@ type ProfileRow struct {
 	AvgLatency          float64
 }
 
-// RunProfiles characterizes every benchmark in the library on a 64-core
+// runProfiles characterizes every benchmark in the library on a 64-core
 // 1NT-256b system (characterization needs per-core behaviour, not chip
-// scale).
-//
-// Deprecated: use RunExperiment(ctx, "profiles", opts).
-func RunProfiles(sc Scale) ([]ProfileRow, error) {
-	return RunProfilesCtx(context.Background(), sc, SweepOptions{})
-}
-
-// RunProfilesCtx is RunProfiles on the parallel sweep engine — one point
-// per benchmark profile.
-//
-// Deprecated: use RunExperiment(ctx, "profiles", opts).
-func RunProfilesCtx(ctx context.Context, sc Scale, opts SweepOptions) ([]ProfileRow, error) {
-	return runProfiles(ctx, ExperimentOpts{Scale: sc, Sweep: opts})
-}
-
-// runProfiles is the profiles implementation over consolidated options.
+// scale), one sweep point per benchmark profile.
 func runProfiles(ctx context.Context, o ExperimentOpts) ([]ProfileRow, error) {
 	sc := o.Scale.or(3000, 10000)
 	var pts []runner.Point[ProfileRow]
@@ -912,22 +779,8 @@ type TopologyPoint struct {
 	CSCPercent float64
 }
 
-// RunTopology sweeps uniform random over the mesh, torus, and flattened
+// runTopology sweeps uniform random over the mesh, torus, and flattened
 // butterfly Catnap designs.
-//
-// Deprecated: use RunExperiment(ctx, "topology", opts).
-func RunTopology(sc Scale, loads []float64) []TopologyPoint {
-	return mustSweep(RunTopologyCtx(context.Background(), sc, loads, SweepOptions{}))
-}
-
-// RunTopologyCtx is RunTopology on the parallel sweep engine.
-//
-// Deprecated: use RunExperiment(ctx, "topology", opts).
-func RunTopologyCtx(ctx context.Context, sc Scale, loads []float64, opts SweepOptions) ([]TopologyPoint, error) {
-	return runTopology(ctx, ExperimentOpts{Scale: sc, Loads: loads, Sweep: opts})
-}
-
-// runTopology is the topology implementation over consolidated options.
 func runTopology(ctx context.Context, o ExperimentOpts) ([]TopologyPoint, error) {
 	sc := o.Scale.or(DefaultSyntheticScale.Warmup, DefaultSyntheticScale.Measure)
 	loads := o.Loads
@@ -976,22 +829,8 @@ type HeteroRow struct {
 	Results Results
 }
 
-// RunHetero compares regional vs local-only BFM detection on the
+// runHetero compares regional vs local-only BFM detection on the
 // Heavy-west / Light-east split chip.
-//
-// Deprecated: use RunExperiment(ctx, "hetero", opts).
-func RunHetero(sc Scale) ([]HeteroRow, error) {
-	return RunHeteroCtx(context.Background(), sc, SweepOptions{})
-}
-
-// RunHeteroCtx is RunHetero on the parallel sweep engine.
-//
-// Deprecated: use RunExperiment(ctx, "hetero", opts).
-func RunHeteroCtx(ctx context.Context, sc Scale, opts SweepOptions) ([]HeteroRow, error) {
-	return runHetero(ctx, ExperimentOpts{Scale: sc, Sweep: opts})
-}
-
-// runHetero is the hetero implementation over consolidated options.
 func runHetero(ctx context.Context, o ExperimentOpts) ([]HeteroRow, error) {
 	sc := o.Scale.or(DefaultAppScale.Warmup, DefaultAppScale.Measure)
 	var pts []runner.Point[HeteroRow]
@@ -1051,22 +890,7 @@ type Headline struct {
 	LightCSCPercent float64
 }
 
-// RunHeadline computes the headline numbers from the Figure 8/9 matrix.
-//
-// Deprecated: use RunExperiment(ctx, "headline", opts).
-func RunHeadline(sc Scale) (Headline, error) {
-	return RunHeadlineCtx(context.Background(), sc, SweepOptions{})
-}
-
-// RunHeadlineCtx is RunHeadline with the underlying Figure 8/9 matrix
-// executed on the parallel sweep engine.
-//
-// Deprecated: use RunExperiment(ctx, "headline", opts).
-func RunHeadlineCtx(ctx context.Context, sc Scale, opts SweepOptions) (Headline, error) {
-	return runHeadline(ctx, ExperimentOpts{Scale: sc, Sweep: opts})
-}
-
-// runHeadline is the headline implementation over consolidated options.
+// runHeadline computes the headline numbers from the Figure 8/9 matrix.
 func runHeadline(ctx context.Context, o ExperimentOpts) (Headline, error) {
 	o.Mixes, o.Designs = nil, []string{"1NT-512b", "4NT-128b-PG"}
 	rows, err := runAppWorkloads(ctx, o)

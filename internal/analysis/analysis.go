@@ -11,8 +11,8 @@
 // that `go list -export` materialises in the build cache, read through
 // go/importer's lookup hook; syntax comes from go/parser. Only non-test
 // files are analyzed: the contracts checked here (determinism, zero-alloc
-// stepping, commit-queue staging, tracer concurrency) bind the simulator
-// proper, not its tests.
+// stepping, quiescent-only reachability, reset coverage) bind the
+// simulator proper, not its tests.
 //
 // Suppression: a finding on line N is silenced by a comment
 //

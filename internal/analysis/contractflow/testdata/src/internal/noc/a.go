@@ -1,8 +1,8 @@
 // Package noc is contractflow's golden test package: one example per
 // propagation mechanism (direct call, method call, interface call,
-// function value), the shard-phase sequential-path exemption, the
-// quiescent-only reachability check, stale-annotation detection, and
-// call-site suppression.
+// function value), the quiescent-only reachability check from
+// (*Network).Step, stale-annotation detection, and call-site
+// suppression.
 package noc
 
 // --- direct calls -----------------------------------------------------
@@ -70,56 +70,33 @@ func Grow() {
 
 func expand() {}
 
-// --- worker-safe propagation ------------------------------------------
-
-//catnap:worker-safe
-func Scan() {
-	unsafeHelper() // want `unsafeHelper is reachable from //catnap:worker-safe code`
-}
-
-func unsafeHelper() {}
-
-// --- shard-phase: boundary and sequential-path exemption --------------
-
-type commitQueue struct{ n int }
-
-type router struct{ cq *commitQueue }
-
-// Phase stages through the commit queue; calls on the proven-sequential
-// cq == nil path carry no shard-phase obligation.
-//
-//catnap:shard-phase
-func (r *router) Phase() {
-	if r.cq == nil {
-		seqOnly() // sequential path: exempt
-		return
-	}
-	stage()  // ok: staging-safe boundary stops propagation
-	staged() // want `staged is reachable from //catnap:shard-phase code`
-}
-
-func seqOnly() {}
-
-//catnap:staging-safe audited boundary
-func stage() {
-	beyondBoundary() // ok: boundaries do not propagate
-}
-
-func beyondBoundary() {}
-
-func staged() {}
-
-// --- quiescent-only must not be reachable from shard-phase ------------
+// --- quiescent-only must not be reachable from (*Network).Step --------
 
 //catnap:quiescent-only assumes the clock sits between cycles
 func drain() {}
 
-//catnap:shard-phase
-func (r *router) BadPhase() {
-	if r.cq != nil {
-		drain() // want `drain is reachable from //catnap:shard-phase code` `//catnap:quiescent-only drain is reachable from shard-phase root \(\*router\)\.BadPhase`
-	}
+//catnap:quiescent-only
+func flush() {}
+
+//catnap:quiescent-only
+func skipAhead() {}
+
+// Network mirrors the simulator's network: Step is the per-cycle entry
+// point, so every function it reaches runs mid-cycle.
+type Network struct{}
+
+// Step reaches one quiescent-only function directly and another through
+// an unannotated helper; both are reported at the call leaving Step.
+func (n *Network) Step() {
+	drain() // want `//catnap:quiescent-only drain is reachable from \(\*Network\)\.Step \(\(\*Network\)\.Step → drain\)`
+	phase() // want `//catnap:quiescent-only flush is reachable from \(\*Network\)\.Step \(\(\*Network\)\.Step → phase → flush\)`
 }
+
+func phase() { flush() }
+
+// TrySkip is a between-cycles entry point that Step never reaches, so
+// its quiescent-only call is fine.
+func (n *Network) TrySkip() { skipAhead() }
 
 // --- stale annotations ------------------------------------------------
 

@@ -40,14 +40,14 @@ func (s *sim) roll() int {
 }
 
 func (s *sim) spawn() {
-	go s.drain() // want `go statement outside a //catnap:worker-pool function`
+	go s.drain() // want `go statement in a deterministic package`
 }
 
-// spawnPooled is the audited worker pool of this golden package.
+// spawnAnnotated shows that no annotation exempts a go statement.
 //
 //catnap:worker-pool
-func (s *sim) spawnPooled() {
-	go s.drain() // pooled: allowed
+func (s *sim) spawnAnnotated() {
+	go s.drain() // want `go statement in a deterministic package`
 }
 
 func (s *sim) drain() {}

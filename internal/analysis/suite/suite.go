@@ -14,8 +14,6 @@ import (
 	"github.com/catnap-noc/catnap/internal/analysis/missingdoc"
 	"github.com/catnap-noc/catnap/internal/analysis/nodeterminism"
 	"github.com/catnap-noc/catnap/internal/analysis/resetcoverage"
-	"github.com/catnap-noc/catnap/internal/analysis/stagingdiscipline"
-	"github.com/catnap-noc/catnap/internal/analysis/tracercontract"
 )
 
 // All returns every analyzer in the suite, in reporting order. The
@@ -26,8 +24,6 @@ func All() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		nodeterminism.Analyzer,
 		hotpathalloc.Analyzer,
-		stagingdiscipline.Analyzer,
-		tracercontract.Analyzer,
 		contractflow.Analyzer,
 		resetcoverage.Analyzer,
 		missingdoc.Analyzer,

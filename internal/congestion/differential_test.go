@@ -42,9 +42,7 @@ func runDetector(t *testing.T, kind congestion.MetricKind, ref bool, cycles int,
 	net.AddObserver(det)
 	net.SetSelector(core.NewCatnapSelector(det, net.Config().Nodes()))
 	net.SetGatingPolicy(core.NewCatnapGating(det))
-	if err := net.SetExecMode(noc.ExecMode{ReferenceScan: ref}); err != nil {
-		t.Fatal(err)
-	}
+	net.SetExecMode(noc.ExecMode{ReferenceScan: ref})
 	det.SetReferenceScan(ref)
 
 	gen := traffic.NewGenerator(net, traffic.UniformRandom{}, traffic.Constant(load), 41)

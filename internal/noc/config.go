@@ -136,7 +136,6 @@ func (c *Config) AggregateWidthBits() int { return c.Subnets * c.LinkWidthBits }
 // zero-means-all convention against the configured VC count.
 //
 //catnap:hotpath
-//catnap:shard-phase read-only table lookup
 func (c *Config) vcMask(class MsgClass) uint32 {
 	all := uint32(1)<<uint(c.VCs) - 1
 	m := c.ClassVCMask[class]
@@ -162,7 +161,6 @@ func (c *Config) topology() topology.Topology {
 // half of the VCs before the dateline, the upper half after.
 //
 //catnap:hotpath
-//catnap:shard-phase read-only table lookup
 func (c *Config) datelineMask(crossed bool) uint32 {
 	half := c.VCs / 2
 	lower := uint32(1)<<uint(half) - 1

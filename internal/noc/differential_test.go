@@ -3,8 +3,6 @@ package noc_test
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync"
 	"testing"
 
 	"github.com/catnap-noc/catnap/internal/congestion"
@@ -17,8 +15,7 @@ import (
 // stepping path: the incremental work-list implementation must be
 // bit-identical to the retained reference scan — same deliveries, same
 // latency distribution, same power events and transition traces, same
-// congestion decisions — under every gating flavor, sequentially and
-// with ParallelSubnets.
+// congestion decisions — under every gating flavor.
 
 // diffEvent is one power or congestion transition, as seen by tracers.
 type diffEvent struct {
@@ -29,35 +26,25 @@ type diffEvent struct {
 	cause        noc.WakeCause
 }
 
-// diffTracer records transitions; a mutex guards it because parallel
-// subnets may trace concurrently.
+// diffTracer records transitions in the order they fire.
 type diffTracer struct {
-	mu     sync.Mutex
 	events []diffEvent
 }
 
 func (t *diffTracer) RouterSlept(now int64, subnet, node int, idle int64) {
-	t.mu.Lock()
 	t.events = append(t.events, diffEvent{cycle: now, kind: 0, subnet: subnet, node: node, aux: idle})
-	t.mu.Unlock()
 }
 
 func (t *diffTracer) RouterWoke(now int64, subnet, node int, cause noc.WakeCause, slept int64) {
-	t.mu.Lock()
 	t.events = append(t.events, diffEvent{cycle: now, kind: 1, subnet: subnet, node: node, aux: slept, cause: cause})
-	t.mu.Unlock()
 }
 
 func (t *diffTracer) LCSChanged(now int64, subnet, node int, on bool) {
-	t.mu.Lock()
 	t.events = append(t.events, diffEvent{cycle: now, kind: 2, subnet: subnet, node: node, aux: b2i(on)})
-	t.mu.Unlock()
 }
 
 func (t *diffTracer) RCSChanged(now int64, subnet, region int, on bool) {
-	t.mu.Lock()
 	t.events = append(t.events, diffEvent{cycle: now, kind: 3, subnet: subnet, node: region, aux: b2i(on)})
-	t.mu.Unlock()
 }
 
 func b2i(b bool) int64 {
@@ -65,29 +52,6 @@ func b2i(b bool) int64 {
 		return 1
 	}
 	return 0
-}
-
-// sortEvents orders a transition log canonically. Within one cycle the
-// parallel subnets trace in nondeterministic interleaving (each subnet's
-// own stream stays ordered), so cross-mode comparisons use the sorted
-// log; sequential-vs-sequential comparisons check the raw order too.
-func sortEvents(ev []diffEvent) {
-	sort.Slice(ev, func(i, j int) bool {
-		a, b := ev[i], ev[j]
-		if a.cycle != b.cycle {
-			return a.cycle < b.cycle
-		}
-		if a.subnet != b.subnet {
-			return a.subnet < b.subnet
-		}
-		if a.node != b.node {
-			return a.node < b.node
-		}
-		if a.kind != b.kind {
-			return a.kind < b.kind
-		}
-		return a.aux < b.aux
-	})
 }
 
 // opaqueGating hides a policy's EpochedPolicy implementation, forcing the
@@ -202,8 +166,7 @@ func (p *diffProbe) scanCheck(now int64) {
 // diffOpts parameterizes one differential run. The flip lists toggle the
 // corresponding mode at those cycles mid-run (each toggle re-applies the
 // whole mode through SetExecMode): flipRef toggles the reference scan,
-// flipShards toggles sharding between `shards` and off, flipParallel
-// toggles ParallelSubnets, flipSkip toggles idle fast-forward. drainAt
+// flipSkip toggles idle fast-forward. drainAt
 // lists cycles at which the run calls Network.Drain with drainBudget as
 // its deadline — on a quiescent network the deadline then lands inside
 // what the skipping arm would fast-forward over.
@@ -211,32 +174,25 @@ type diffOpts struct {
 	// net, when non-nil, runs the scenario on this network instead of
 	// building a fresh one — the reset differential suite passes a
 	// previously used, Reset network here to prove reuse is bit-identical.
-	net          *noc.Network
-	gating       string
-	parallel     bool
-	ref          bool
-	skip         bool // arm idle fast-forward and attempt it every cycle
-	shards       int  // router-phase shard count (0 = unsharded)
-	affinity     bool // shard-affine dispatch (ExecMode.ShardAffinity)
-	stealBatch   int  // steal granularity (ExecMode.StealBatch, 0 = auto)
-	sched        traffic.Schedule
-	cycles       int
-	flipRef      []int
-	flipShards   []int
-	flipParallel []int
-	flipTuning   []int // toggle ShardAffinity and rotate StealBatch mid-run
-	flipSkip     []int
-	drainAt      []int
-	drainBudget  int64
+	net         *noc.Network
+	gating      string
+	ref         bool
+	skip        bool // arm idle fast-forward and attempt it every cycle
+	sched       traffic.Schedule
+	cycles      int
+	flipRef     []int
+	flipSkip    []int
+	drainAt     []int
+	drainBudget int64
 }
 
 // diffRun executes the full stack for cycles and fingerprints it.
 // flipAt, when non-empty, toggles the stepping mode at those cycles
 // (mid-run switch support).
-func diffRun(t *testing.T, gating string, parallel, ref bool, sched traffic.Schedule, cycles int, flipAt ...int) diffFingerprint {
+func diffRun(t *testing.T, gating string, ref bool, sched traffic.Schedule, cycles int, flipAt ...int) diffFingerprint {
 	t.Helper()
 	return diffRunWith(t, diffOpts{
-		gating: gating, parallel: parallel, ref: ref,
+		gating: gating, ref: ref,
 		sched: sched, cycles: cycles, flipRef: flipAt,
 	})
 }
@@ -287,18 +243,13 @@ func diffRunWith(t *testing.T, o diffOpts) diffFingerprint {
 	}
 
 	fp := diffFingerprint{}
-	noFlips := len(o.flipRef) == 0 && len(o.flipShards) == 0 &&
-		len(o.flipParallel) == 0 && len(o.flipTuning) == 0 && len(o.flipSkip) == 0
+	noFlips := len(o.flipRef) == 0 && len(o.flipSkip) == 0
 	probe := &diffProbe{t: t, net: net, out: &fp.cycleHash, check: !o.ref && !o.skip && noFlips}
 	net.AddObserver(probe)
 
-	mode := noc.ExecMode{Parallel: o.parallel, Shards: o.shards,
-		ShardAffinity: o.affinity, StealBatch: o.stealBatch,
-		ReferenceScan: o.ref, IdleSkip: o.skip}
+	mode := noc.ExecMode{ReferenceScan: o.ref, IdleSkip: o.skip}
 	apply := func() {
-		if err := net.SetExecMode(mode); err != nil {
-			t.Fatal(err)
-		}
+		net.SetExecMode(mode)
 		if det != nil {
 			det.SetReferenceScan(mode.ReferenceScan)
 		}
@@ -307,9 +258,6 @@ func diffRunWith(t *testing.T, o diffOpts) diffFingerprint {
 
 	gen := traffic.NewGenerator(net, traffic.UniformRandom{}, o.sched, 99)
 	flipRef := append([]int(nil), o.flipRef...)
-	flipShards := append([]int(nil), o.flipShards...)
-	flipParallel := append([]int(nil), o.flipParallel...)
-	flipTuning := append([]int(nil), o.flipTuning...)
 	flipSkip := append([]int(nil), o.flipSkip...)
 	drainAt := append([]int(nil), o.drainAt...)
 	end := int64(o.cycles)
@@ -318,26 +266,6 @@ func diffRunWith(t *testing.T, o diffOpts) diffFingerprint {
 		if len(flipRef) > 0 && int64(flipRef[0]) <= now {
 			flipRef = flipRef[1:]
 			mode.ReferenceScan = !mode.ReferenceScan
-			apply()
-		}
-		if len(flipShards) > 0 && int64(flipShards[0]) <= now {
-			flipShards = flipShards[1:]
-			if mode.Shards != 0 {
-				mode.Shards = 0
-			} else {
-				mode.Shards = o.shards
-			}
-			apply()
-		}
-		if len(flipParallel) > 0 && int64(flipParallel[0]) <= now {
-			flipParallel = flipParallel[1:]
-			mode.Parallel = !mode.Parallel
-			apply()
-		}
-		if len(flipTuning) > 0 && int64(flipTuning[0]) <= now {
-			flipTuning = flipTuning[1:]
-			mode.ShardAffinity = !mode.ShardAffinity
-			mode.StealBatch = (mode.StealBatch + 3) % 7
 			apply()
 		}
 		if len(flipSkip) > 0 && int64(flipSkip[0]) <= now {
@@ -356,7 +284,7 @@ func diffRunWith(t *testing.T, o diffOpts) diffFingerprint {
 			// next injection cycle, then let the network and its observers
 			// bound it further.
 			target := end
-			for _, f := range [][]int{flipRef, flipShards, flipParallel, flipTuning, flipSkip, drainAt} {
+			for _, f := range [][]int{flipRef, flipSkip, drainAt} {
 				if len(f) > 0 && int64(f[0]) < target {
 					target = int64(f[0])
 				}
@@ -386,8 +314,9 @@ func diffRunWith(t *testing.T, o diffOpts) diffFingerprint {
 }
 
 // compareFingerprints fails the test on the first divergence between a
-// reference-scan run and an incremental run.
-func compareFingerprints(t *testing.T, name string, ref, fast diffFingerprint, exactOrder bool) {
+// reference-scan run and an incremental run, including the exact order of
+// power and congestion transitions.
+func compareFingerprints(t *testing.T, name string, ref, fast diffFingerprint) {
 	t.Helper()
 	if len(ref.cycleHash) != len(fast.cycleHash) {
 		t.Fatalf("%s: cycle hash lengths differ", name)
@@ -415,10 +344,6 @@ func compareFingerprints(t *testing.T, name string, ref, fast diffFingerprint, e
 			t.Errorf("%s: subnet %d flit share ref %v vs fast %v", name, s, ref.share[s], fast.share[s])
 		}
 	}
-	if !exactOrder {
-		sortEvents(ref.events)
-		sortEvents(fast.events)
-	}
 	if len(ref.events) != len(fast.events) {
 		t.Fatalf("%s: transition counts differ: ref %d vs fast %d", name, len(ref.events), len(fast.events))
 	}
@@ -437,9 +362,9 @@ func compareFingerprints(t *testing.T, name string, ref, fast diffFingerprint, e
 func TestIncrementalMatchesReferenceScan(t *testing.T) {
 	const cycles = 3000
 	for _, gating := range []string{"catnap", "opaque", "baseline", "none"} {
-		ref := diffRun(t, gating, false, true, traffic.Fig12Bursts(), cycles)
-		fast := diffRun(t, gating, false, false, traffic.Fig12Bursts(), cycles)
-		compareFingerprints(t, gating+"/bursty", ref, fast, true)
+		ref := diffRun(t, gating, true, traffic.Fig12Bursts(), cycles)
+		fast := diffRun(t, gating, false, traffic.Fig12Bursts(), cycles)
+		compareFingerprints(t, gating+"/bursty", ref, fast)
 	}
 }
 
@@ -453,24 +378,10 @@ func TestIncrementalMatchesReferenceScanLoads(t *testing.T) {
 	const cycles = 2500
 	for _, gating := range []string{"catnap", "catnap-local", "catnap-t0.5"} {
 		for _, load := range []float64{0.02, 0.35} {
-			ref := diffRun(t, gating, false, true, traffic.Constant(load), cycles)
-			fast := diffRun(t, gating, false, false, traffic.Constant(load), cycles)
-			compareFingerprints(t, fmt.Sprintf("%s/load%v", gating, load), ref, fast, true)
+			ref := diffRun(t, gating, true, traffic.Constant(load), cycles)
+			fast := diffRun(t, gating, false, traffic.Constant(load), cycles)
+			compareFingerprints(t, fmt.Sprintf("%s/load%v", gating, load), ref, fast)
 		}
-	}
-}
-
-// TestIncrementalMatchesReferenceScanParallel repeats the differential
-// with ParallelSubnets: the per-subnet aggregates must stay subnet-local
-// (the race detector sees this test) and the results bit-identical.
-// Transition order across subnets is nondeterministic under parallel
-// execution, so logs are compared canonically sorted.
-func TestIncrementalMatchesReferenceScanParallel(t *testing.T) {
-	const cycles = 3000
-	for _, gating := range []string{"catnap", "catnap-local", "catnap-t0.5", "baseline"} {
-		ref := diffRun(t, gating, true, true, traffic.Fig12Bursts(), cycles)
-		fast := diffRun(t, gating, true, false, traffic.Fig12Bursts(), cycles)
-		compareFingerprints(t, gating+"/parallel", ref, fast, false)
 	}
 }
 
@@ -479,9 +390,9 @@ func TestIncrementalMatchesReferenceScanParallel(t *testing.T) {
 // flipped run exactly on the always-incremental trajectory.
 func TestReferenceScanFlipMidRun(t *testing.T) {
 	const cycles = 2400
-	base := diffRun(t, "catnap", false, false, traffic.Fig12Bursts(), cycles)
-	flipped := diffRun(t, "catnap", false, false, traffic.Fig12Bursts(), cycles, 700, 1500)
-	compareFingerprints(t, "flip", base, flipped, true)
+	base := diffRun(t, "catnap", false, traffic.Fig12Bursts(), cycles)
+	flipped := diffRun(t, "catnap", false, traffic.Fig12Bursts(), cycles, 700, 1500)
+	compareFingerprints(t, "flip", base, flipped)
 }
 
 // diffTopology is one named network shape for the topology differentials.
@@ -529,7 +440,7 @@ func TestIncrementalMatchesReferenceScanTopologies(t *testing.T) {
 				return diffRunWith(t, diffOpts{net: topoNet(t, tc.cfg), gating: "catnap",
 					ref: ref, sched: sched.s, cycles: cycles})
 			}
-			compareFingerprints(t, tc.name+"/"+sched.name, run(true), run(false), true)
+			compareFingerprints(t, tc.name+"/"+sched.name, run(true), run(false))
 		}
 	}
 }
@@ -544,7 +455,7 @@ func TestReferenceScanFlipMidRunTopologies(t *testing.T) {
 			sched: traffic.Fig12Bursts(), cycles: cycles})
 		flipped := diffRunWith(t, diffOpts{net: topoNet(t, tc.cfg), gating: "catnap",
 			sched: traffic.Fig12Bursts(), cycles: cycles, flipRef: []int{1200, 1700}})
-		compareFingerprints(t, tc.name+"/flip", base, flipped, true)
+		compareFingerprints(t, tc.name+"/flip", base, flipped)
 	}
 }
 

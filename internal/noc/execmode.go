@@ -1,40 +1,14 @@
 package noc
 
-import "fmt"
-
 // ExecMode is the network's complete execution-mode configuration: every
 // knob that changes *how* a simulation executes without changing *what* it
 // computes. All combinations produce bit-identical results (the
-// differential suites assert it); the knobs trade constant factors,
-// parallelism, and allocation behavior.
+// differential suites assert it); the knobs trade constant factors and
+// allocation behavior.
 //
 // The zero value is the conservative reference-friendly default:
-// sequential, unsharded, incremental stepping, no packet recycling, no
-// idle fast-forward.
+// incremental stepping, no packet recycling, no idle fast-forward.
 type ExecMode struct {
-	// Parallel fans the router and power phases out across subnets on
-	// the network's worker pool. Subnets share no mutable state during
-	// those phases — wheels, events, and wake signals are all
-	// per-subnet, and policies only read the (phase-stable) detector
-	// state — so results are bit-identical to sequential execution (see
-	// SetExecMode for the callback concurrency contract this imposes).
-	Parallel bool
-	// Shards > 0 splits every subnet's router phase into that many
-	// row-band tasks with commit-queue staging (see applyShards for the
-	// determinism argument); 0 keeps the phase single-threaded.
-	Shards int
-	// ShardAffinity dispatches shard tasks on stable per-worker index
-	// ranges, so a shard's routers stay on the worker (and its cache)
-	// that stepped them last cycle. Purely a locality knob: the commit
-	// queues make results identical regardless of which worker runs
-	// which shard. Meaningful only when Shards > 0.
-	ShardAffinity bool
-	// StealBatch is the claim granularity an idle worker uses when taking
-	// shard tasks from a shared queue or a lagging worker's range: larger
-	// batches amortize the atomic claim and keep stolen rows contiguous,
-	// smaller ones balance load finer. 0 means auto (currently 1); must
-	// not be negative. Meaningful only when Shards > 0.
-	StealBatch int
 	// ReferenceScan selects the retained O(nodes) scan-based stepping
 	// path instead of the incremental O(active) one. It also disables
 	// idle fast-forward: the reference path is the baseline the skipping
@@ -57,50 +31,19 @@ type ExecMode struct {
 	IdleSkip bool
 }
 
-// Validate reports whether the mode is internally consistent.
-func (m ExecMode) Validate() error {
-	if m.Shards < 0 {
-		return fmt.Errorf("noc: ExecMode.Shards must be >= 0, got %d", m.Shards)
-	}
-	if m.StealBatch < 0 {
-		return fmt.Errorf("noc: ExecMode.StealBatch must be >= 0 (0 = auto), got %d", m.StealBatch)
-	}
-	return nil
-}
-
-// SetExecMode applies a validated execution mode atomically; it is the
-// single execution-configuration surface. Mid-run flips are supported:
+// SetExecMode applies an execution mode; it is the single
+// execution-configuration surface. Mid-run flips are supported:
 // idle-streak representations are converted and sleep checks re-armed as
 // part of the transition.
-//
-// Concurrency contract: with Parallel or Shards > 0, GatingPolicy and
-// PowerTracer callbacks are invoked from worker goroutines, concurrently
-// across subnets — every AllowSleep/WantWake call and every sleep/wake
-// trace event can arrive on a different goroutine than the one calling
-// Step. The built-in policies and the telemetry tracer are race-free
-// under this contract (asserted by the -race suite, see
-// TestShardedBuiltinPoliciesRace); custom implementations must be too.
-func (n *Network) SetExecMode(m ExecMode) error {
-	if err := m.Validate(); err != nil {
-		return err
-	}
-	n.parallel = m.Parallel && len(n.subnets) > 1
+func (n *Network) SetExecMode(m ExecMode) {
 	n.recycle = m.PacketRecycling
 	n.idleSkip = m.IdleSkip
-	n.affinity = m.ShardAffinity
-	n.stealBatch = m.StealBatch
-	n.applyShards(m.Shards)
 	n.applyReferenceScan(m.ReferenceScan)
-	return nil
 }
 
 // ExecMode returns the currently applied execution mode.
 func (n *Network) ExecMode() ExecMode {
 	return ExecMode{
-		Parallel:        n.parallel,
-		Shards:          n.shardCount,
-		ShardAffinity:   n.affinity,
-		StealBatch:      n.stealBatch,
 		ReferenceScan:   n.refScan,
 		PacketRecycling: n.recycle,
 		IdleSkip:        n.idleSkip,

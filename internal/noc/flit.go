@@ -155,9 +155,7 @@ func makeFlit(p *Packet, seq int) flit {
 }
 
 //catnap:hotpath
-//catnap:shard-phase reads the flit only
 func (f *flit) head() bool { return f.seq == 0 }
 
 //catnap:hotpath
-//catnap:shard-phase reads the flit only
 func (f *flit) tail() bool { return f.last }

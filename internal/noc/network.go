@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"github.com/catnap-noc/catnap/internal/runner"
 	"github.com/catnap-noc/catnap/internal/stats"
 	"github.com/catnap-noc/catnap/internal/topology"
 )
@@ -23,7 +22,9 @@ import (
 //
 // Phases 1–3 only *stage* future events (wheels), so no router observes
 // another router's same-cycle decisions: the simulation is deterministic
-// and order-independent within a phase.
+// and order-independent within a phase. Step runs every phase on the
+// calling goroutine, so gating-policy, tracer, observer, and sink
+// callbacks all arrive on the goroutine that steps the network.
 type Network struct {
 	cfg *Config
 	// pre is the shared immutable precompute for cfg's topology shape
@@ -46,29 +47,6 @@ type Network struct {
 	latency    *stats.Latency
 	netLatency *stats.Latency
 
-	parallel bool
-	// shardCount/plan/shardTasks implement the sharded router phase (see
-	// shard.go): a non-nil plan splits every subnet's router phase into
-	// row-band tasks run concurrently with commit-queue staging.
-	// shardTasks is the reused per-cycle task-list scratch.
-	shardCount int
-	plan       *shardPlan
-	shardTasks []shardTask
-	// pool runs the per-cycle fan-out (shard tasks, per-subnet phases) on
-	// reusable parked workers. affinity/stealBatch are the applied
-	// ExecMode.ShardAffinity/StealBatch tuning knobs for shard dispatch.
-	pool       *runner.StepPool
-	affinity   bool
-	stealBatch int
-	// phaseNow and the pre-bound task closures below exist so that a
-	// steady-state Step performs zero allocations: the closures are built
-	// once in New and read the current cycle from phaseNow instead of
-	// capturing it per cycle. phaseNow is written by the dispatching
-	// goroutine before pool.Run and is read-only during a burst.
-	phaseNow int64
-	shardFn  func(int)
-	phaseFn  func(int)
-	commitFn func(int)
 	// recycle enables the per-NI packet freelist: delivered packets are
 	// reused by later NewPacket calls at the same source node.
 	recycle bool
@@ -110,30 +88,13 @@ type Network struct {
 // copied; the selector must be non-nil. Power gating is disabled until
 // SetGatingPolicy is called.
 //
-// New is a thin shell over Reset: it allocates the network, the reusable
-// step-worker pool, and the pre-bound phase closures (which index
-// n.subnets at call time, so they survive in-place resets), then lets
+// New is a thin shell over Reset: it allocates the network and lets
 // Reset build every per-run structure. A reset network and a fresh one
 // therefore run identical construction code.
 //
 //catnap:reset-covered every per-run structure is built by Reset itself
 func New(cfg Config, selector SubnetSelector) (*Network, error) {
 	n := &Network{}
-	n.pool = runner.NewStepPool(0, 0)
-	n.shardFn = func(i int) {
-		t := n.shardTasks[i]
-		n.subnets[t.sub].routerPhaseShard(n.phaseNow, int(t.shard))
-	}
-	n.phaseFn = func(i int) {
-		s := n.subnets[i]
-		s.routerPhase(n.phaseNow)
-		s.powerPhase(n.phaseNow)
-	}
-	n.commitFn = func(i int) {
-		s := n.subnets[i]
-		s.applyCommits(n.phaseNow)
-		s.powerPhase(n.phaseNow)
-	}
 	if err := n.Reset(cfg, selector); err != nil {
 		return nil, err
 	}
@@ -312,18 +273,11 @@ func (n *Network) Step() {
 			}
 		}
 	}
-	if n.plan != nil && !n.refScan {
-		n.stepSharded(t)
-	} else if n.parallel {
-		n.phaseNow = t
-		n.pool.Run(len(n.subnets), false, 1, n.phaseFn)
-	} else {
-		for _, s := range n.subnets {
-			s.routerPhase(t)
-		}
-		for _, s := range n.subnets {
-			s.powerPhase(t)
-		}
+	for _, s := range n.subnets {
+		s.routerPhase(t)
+	}
+	for _, s := range n.subnets {
+		s.powerPhase(t)
 	}
 	for _, o := range n.obs {
 		o.AfterCycle(t)
@@ -380,7 +334,6 @@ func (n *Network) eject(now int64, node int, f flit) {
 // niStreaming reports whether node's NI is mid-packet into subnet s.
 //
 //catnap:hotpath
-//catnap:worker-safe reads one NI's streaming bit inside the worker-dispatched power phase
 func (n *Network) niStreaming(s, node int) bool { return n.nis[node].streaming(s) }
 
 // FlushCSC closes all open sleep periods; call once before reading CSC.

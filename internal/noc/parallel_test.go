@@ -1,6 +1,7 @@
 package noc_test
 
 import (
+	"sync"
 	"testing"
 
 	"github.com/catnap-noc/catnap/internal/congestion"
@@ -9,56 +10,69 @@ import (
 	"github.com/catnap-noc/catnap/internal/traffic"
 )
 
-// runGated runs the full Catnap stack for `cycles` and returns the
-// observable outcome fingerprint.
-func runGated(t *testing.T, parallel bool, cycles int) (int64, float64, noc.PowerEvents) {
+// gatedOutcome is the observable fingerprint of one gated run.
+type gatedOutcome struct {
+	ejected int64
+	latMean float64
+	events  noc.PowerEvents
+}
+
+// runGated runs the full Catnap stack on cfg for cycles with the given
+// traffic seed.
+func runGated(t *testing.T, cfg noc.Config, seed uint64, cycles int) gatedOutcome {
 	t.Helper()
-	cfg := testConfig(8, 8, 4, 128)
 	net, err := noc.New(cfg, core.NewRRSelector(cfg.Nodes()))
 	if err != nil {
-		t.Fatal(err)
+		t.Error(err)
+		return gatedOutcome{}
 	}
 	det := congestion.NewDetector(net, congestion.Default(congestion.BFM))
 	net.AddObserver(det)
 	net.SetSelector(core.NewCatnapSelector(det, cfg.Nodes()))
 	net.SetGatingPolicy(core.NewCatnapGating(det))
-	if err := net.SetExecMode(noc.ExecMode{Parallel: parallel}); err != nil {
-		t.Fatal(err)
-	}
-	gen := traffic.NewGenerator(net, traffic.UniformRandom{}, traffic.Fig12Bursts(), 99)
+	gen := traffic.NewGenerator(net, traffic.UniformRandom{}, traffic.Fig12Bursts(), seed)
 	for i := 0; i < cycles; i++ {
 		gen.Tick(net.Now())
 		net.Step()
 	}
 	_, _, ejected := net.Counts()
-	return ejected, net.Latency().Mean(), net.Events()
+	return gatedOutcome{ejected: ejected, latMean: net.Latency().Mean(), events: net.Events()}
 }
 
-// TestParallelEquivalence: parallel per-subnet execution must be
-// bit-identical to sequential execution — same deliveries, latencies, and
-// switching-activity counters — across a bursty run that exercises
-// gating transitions.
+// TestParallelEquivalence steps independent networks on concurrent
+// goroutines, the way sweep workers do, and requires each to match the
+// same network stepped alone. The networks share the process-wide
+// topology precompute, the one piece of simulator state that crosses
+// goroutines (the race detector sees this test under make race).
 func TestParallelEquivalence(t *testing.T) {
-	e1, l1, ev1 := runGated(t, false, 3500)
-	e2, l2, ev2 := runGated(t, true, 3500)
-	if e1 != e2 {
-		t.Errorf("ejected: sequential %d vs parallel %d", e1, e2)
+	const cycles = 1500
+	type job struct {
+		cfg  noc.Config
+		seed uint64
 	}
-	if l1 != l2 {
-		t.Errorf("mean latency: sequential %v vs parallel %v", l1, l2)
+	jobs := []job{
+		{testConfig(8, 8, 4, 128), 99},
+		{testConfig(8, 8, 4, 128), 7},
+		{testConfig(4, 4, 2, 256), 99},
+		{testConfig(4, 4, 2, 256), 7},
 	}
-	if ev1 != ev2 {
-		t.Errorf("power events diverge:\nseq: %+v\npar: %+v", ev1, ev2)
+	par := make([]gatedOutcome, len(jobs))
+	var wg sync.WaitGroup
+	for i, j := range jobs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			par[i] = runGated(t, j.cfg, j.seed, cycles)
+		}()
 	}
-	if e1 == 0 {
-		t.Fatal("no traffic delivered")
-	}
-}
-
-// TestParallelRace runs the parallel path under the race detector's eye
-// (meaningful with -race) with all policies active.
-func TestParallelRace(t *testing.T) {
-	if _, _, ev := runGated(t, true, 1500); ev.BufferWrites == 0 {
-		t.Fatal("no activity")
+	wg.Wait()
+	for i, j := range jobs {
+		seq := runGated(t, j.cfg, j.seed, cycles)
+		if seq != par[i] {
+			t.Errorf("job %d: concurrent run diverged from stepping alone\nalone:      %+v\nconcurrent: %+v", i, seq, par[i])
+		}
+		if seq.ejected == 0 {
+			t.Errorf("job %d: no traffic delivered", i)
+		}
 	}
 }

@@ -20,7 +20,8 @@ type SubnetSelector interface {
 // answers the two questions of the paper's Figure 5 state machine.
 //
 // A nil GatingPolicy on the Network disables power gating entirely: all
-// routers stay active forever (the non-PG baselines).
+// routers stay active forever (the non-PG baselines). Both methods are
+// called on the goroutine that calls Step.
 type GatingPolicy interface {
 	// AllowSleep reports whether the router (subnet, node), whose buffers
 	// have been continuously empty for idleCycles cycles, may switch off
@@ -48,10 +49,7 @@ type GatingPolicy interface {
 // epoch per subnet lets a policy whose answers for subnet h read only
 // subnet h−1's state (Catnap) leave every other subnet undisturbed when
 // that state moves. Policies whose answers vary with time must not
-// implement this; they are polled every cycle as before. With
-// ParallelSubnets, PolicyEpoch is read concurrently from the subnet
-// goroutines and must be safe for that (Catnap's detector mutates only in
-// the sequential observer phase).
+// implement this; they are polled every cycle as before.
 type EpochedPolicy interface {
 	PolicyEpoch(subnet int) uint64
 }
@@ -88,7 +86,6 @@ const (
 // String returns the cause name used in telemetry events.
 //
 //catnap:hotpath
-//catnap:worker-safe returns static name strings
 func (c WakeCause) String() string {
 	switch c {
 	case WakeLookAhead:
@@ -106,9 +103,7 @@ func (c WakeCause) String() string {
 // The hooks fire only on actual transitions (Active→Asleep and
 // Asleep→Waking), never per cycle, and the network guards every call
 // behind a nil check — an unset tracer costs one pointer compare per
-// transition. With ParallelSubnets enabled the callbacks may arrive
-// concurrently from different subnets' goroutines; implementations must
-// be safe for that.
+// transition. The callbacks run on the goroutine that calls Step.
 type PowerTracer interface {
 	// RouterSlept fires when (subnet, node) gates off at cycle now after
 	// idle continuously-empty cycles (the T-idle-detect trigger).

@@ -15,7 +15,7 @@ import (
 // region) shape in a process-lifetime cache and shared read-only across
 // all networks and worker goroutines. Everything in the cache is written
 // only during construction under LoadOrStore and never mutated afterwards;
-// the race-enabled reset differential suite exercises concurrent readers.
+// the race-enabled sweep and SimPool suites exercise concurrent readers.
 
 // precompKey identifies one topology shape. The handful of shapes a
 // campaign touches bounds the cache size; entries are a few KB each.

@@ -22,12 +22,12 @@ import (
 //     and channels are cleared, counters and latency accumulators reset.
 //   - Installed hooks are removed: observers, sinks, the power tracer, and
 //     the gating policy are cleared, and the execution mode returns to the
-//     New default (sequential, recycling off, idle-skip off). Callers
+//     New default (incremental, recycling off, idle-skip off). Callers
 //     re-install what they need, exactly as they would after New.
-//   - Deliberately retained across resets: the step-worker pool, the NI
-//     packet freelists (NewPacket overwrites every field of a recycled
-//     packet), warmed slice capacity, and each router's CSC tracker
-//     struct (its counters are reset via stats.CSC.Reset).
+//   - Deliberately retained across resets: the NI packet freelists
+//     (NewPacket overwrites every field of a recycled packet), warmed
+//     slice capacity, and each router's CSC tracker struct (its counters
+//     are reset via stats.CSC.Reset).
 //   - Shared immutable precompute (topology, upstream table) is swapped by
 //     key, never mutated.
 //
@@ -46,9 +46,6 @@ func (n *Network) Reset(cfg Config, selector SubnetSelector) error {
 	if selector == nil {
 		return fmt.Errorf("noc: nil subnet selector")
 	}
-
-	// Tear down sharding over the *old* subnet set before any resizing.
-	n.applyShards(0)
 
 	pc := sharedPrecomp(&cfg)
 	n.cfg = &cfg
@@ -83,11 +80,6 @@ func (n *Network) Reset(cfg Config, selector SubnetSelector) error {
 	// their SetExecMode after Reset exactly as they do after New. refScan
 	// is forced off directly (not via applyReferenceScan): the pristine
 	// state rebuilt below is already consistent with the incremental path.
-	n.parallel = false
-	n.shardTasks = n.shardTasks[:0]
-	n.affinity = false
-	n.stealBatch = 0
-	n.phaseNow = 0
 	n.recycle = false
 	n.refScan = false
 	n.idleSkip = false
@@ -162,9 +154,6 @@ func (s *Subnet) reset() {
 	s.bfmMax = 0
 	s.checkWheel = resetWheel(s.checkWheel, cfg.TIdleDetect+2)
 	s.lastEpoch = ^uint64(0)
-
-	// Sharding state was torn down by Network.Reset via applyShards(0).
-	s.staging = false
 
 	s.pstate = resetSlice(s.pstate, nodes)
 	s.occSlots = resetSlice(s.occSlots, nodes)

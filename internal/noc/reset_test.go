@@ -51,16 +51,16 @@ func TestResetMatchesFreshNetwork(t *testing.T) {
 			net:    dirtyReset(t, cfg, cfg, 700),
 			gating: gating, sched: traffic.Fig12Bursts(), cycles: cycles,
 		})
-		compareFingerprints(t, gating+"/reset", fresh, reused, true)
+		compareFingerprints(t, gating+"/reset", fresh, reused)
 	}
 }
 
 // TestResetMatchesFreshExecModes repeats the reset differential across
-// the execution modes New defaults do not cover: parallel subnets,
-// sharded routers with affinity, and idle fast-forward. Reset must also
-// rewind a network whose previous run used a different exec mode (the
-// dirty run leaves sharding enabled; Reset returns the network to the
-// sequential default before the scenario re-applies its own mode).
+// the execution modes New defaults do not cover: the reference scan and
+// idle fast-forward. Reset must also rewind a network whose previous run
+// used a different exec mode (the dirty run leaves the reference scan and
+// packet recycling on; Reset returns the network to the default before
+// the scenario re-applies its own mode).
 func TestResetMatchesFreshExecModes(t *testing.T) {
 	const cycles = 2000
 	cfg := testConfig(8, 8, 4, 128)
@@ -68,8 +68,7 @@ func TestResetMatchesFreshExecModes(t *testing.T) {
 		name string
 		o    diffOpts
 	}{
-		{"parallel", diffOpts{parallel: true}},
-		{"sharded", diffOpts{shards: 4, affinity: true}},
+		{"reference", diffOpts{ref: true}},
 		{"skip", diffOpts{skip: true}},
 	}
 	for _, m := range modes {
@@ -77,28 +76,23 @@ func TestResetMatchesFreshExecModes(t *testing.T) {
 		o.gating, o.sched, o.cycles = "catnap", traffic.Fig12Bursts(), cycles
 		fresh := diffRunWith(t, o)
 
-		net := dirtyReset(t, cfg, cfg, 700)
 		ro := o
-		ro.net = net
+		ro.net = dirtyModeReset(t, cfg, cfg, 700)
 		reused := diffRunWith(t, ro)
-		// Parallel subnets interleave tracing nondeterministically, so that
-		// mode compares the transition log canonically sorted.
-		compareFingerprints(t, "reset/"+m.name, fresh, reused, !o.parallel)
+		compareFingerprints(t, "reset/"+m.name, fresh, reused)
 	}
 }
 
-// dirtyShardedReset dirties the network with sharded parallel execution
-// before the Reset, so the reset path has live shard plans, commit
-// queues, and a warmed step pool to rewind.
-func dirtyShardedReset(t *testing.T, warmCfg, cfg noc.Config, warmCycles int) *noc.Network {
+// dirtyModeReset dirties the network under the reference scan with
+// packet recycling before the Reset, so the reset path has a non-default
+// execution mode and a warmed packet freelist to rewind.
+func dirtyModeReset(t *testing.T, warmCfg, cfg noc.Config, warmCycles int) *noc.Network {
 	t.Helper()
 	net, err := noc.New(warmCfg, core.NewRRSelector(warmCfg.Nodes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := net.SetExecMode(noc.ExecMode{Parallel: true, Shards: 4, ShardAffinity: true}); err != nil {
-		t.Fatal(err)
-	}
+	net.SetExecMode(noc.ExecMode{ReferenceScan: true, PacketRecycling: true})
 	gen := traffic.NewGenerator(net, traffic.UniformRandom{}, traffic.Constant(0.25), 11)
 	for i := 0; i < warmCycles; i++ {
 		gen.Tick(net.Now())
@@ -126,17 +120,17 @@ func TestResetHeterogeneousShapes(t *testing.T) {
 		net:    dirtyReset(t, small, big, 600),
 		gating: "catnap", sched: traffic.Constant(0.15), cycles: cycles,
 	})
-	compareFingerprints(t, "reset/grow", freshBig, grown, true)
+	compareFingerprints(t, "reset/grow", freshBig, grown)
 
-	// Shrink: dirty at 8x8/4 under sharded execution, reset to 4x4/2.
-	shrunkNet := dirtyShardedReset(t, big, small, 600)
+	// Shrink: dirty at 8x8/4 under the reference scan, reset to 4x4/2.
+	shrunkNet := dirtyModeReset(t, big, small, 600)
 	shrunk := runSmall(t, shrunkNet, cycles)
 	freshNet, err := noc.New(small, core.NewRRSelector(small.Nodes()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	freshSmall := runSmall(t, freshNet, cycles)
-	compareFingerprints(t, "reset/shrink", freshSmall, shrunk, true)
+	compareFingerprints(t, "reset/shrink", freshSmall, shrunk)
 }
 
 // runSmall fingerprints a catnap-gated constant-load run on net using the
@@ -162,7 +156,7 @@ func TestResetRepeatedReuse(t *testing.T) {
 			}
 		}
 		got := diffRunWith(t, diffOpts{net: net, gating: "catnap", sched: traffic.Constant(0.12), cycles: cycles})
-		compareFingerprints(t, "reset/repeat", fresh, got, true)
+		compareFingerprints(t, "reset/repeat", fresh, got)
 	}
 }
 
@@ -202,7 +196,7 @@ func TestResetMidWormhole(t *testing.T) {
 		}
 	}
 	reused := diffRunWith(t, diffOpts{net: net, gating: "none", sched: sched, cycles: cycles})
-	compareFingerprints(t, "reset/mid-wormhole", fresh, reused, true)
+	compareFingerprints(t, "reset/mid-wormhole", fresh, reused)
 }
 
 // TestResetRejectsInvalidConfig checks Reset validates before mutating:

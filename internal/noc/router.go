@@ -61,11 +61,9 @@ type vcState struct {
 }
 
 //catnap:hotpath
-//catnap:shard-phase reads own VC state
 func (v *vcState) empty() bool { return v.count == 0 }
 
 //catnap:hotpath
-//catnap:shard-phase reads own VC state
 func (v *vcState) front() *flit { return &v.q[v.head] }
 
 //catnap:hotpath
@@ -85,7 +83,6 @@ func (v *vcState) push(f flit) {
 }
 
 //catnap:hotpath
-//catnap:shard-phase mutates only the owning router's VC ring
 func (v *vcState) pop() flit {
 	f := v.q[v.head]
 	// Zero the whole slot, not just the packet pointer: dequeued packets
@@ -146,7 +143,7 @@ type Router struct {
 
 	// in/out/slots/occHist/grantedInput are subslices of the subnet's
 	// contiguous backing pools (inPool/outPool/vcPool/histPool/grantPool):
-	// one allocation per subnet per kind, and a shard's routers sit on
+	// one allocation per subnet per kind, and neighbouring routers sit on
 	// adjacent cache lines. See the struct-of-arrays layout notes on
 	// Subnet. slots holds input port p's VC v at p*VCs+v, the bit the
 	// occ/alloc masks use; occHist[k] counts the input ports holding
@@ -188,9 +185,7 @@ type Router struct {
 	// (push) and traverse (pop); the allocation stages consult it on the
 	// incremental path so empty slots cost one shift instead of a
 	// VC-state load. Usable only when every slot fits in the word
-	// (slotMask); larger radices fall back to the full scan. Writing
-	// through the router's own pointer keeps the sharded router phase's
-	// staging discipline visible to the linter.
+	// (slotMask); larger radices fall back to the full scan.
 	occ      *uint64
 	slotMask bool
 	// alloc points at this router's word in Subnet.allocSlots: bit
@@ -210,11 +205,6 @@ type Router struct {
 	// granted a flit this cycle (one buffer read port per input port).
 	grantedInput []bool
 	vaRR         int
-
-	// cq is this router's shard commit queue when sharding is configured
-	// (nil otherwise). Switch allocation stages cross-router effects into
-	// it while the subnet is in its concurrent router phase (sub.staging).
-	cq *commitQueue
 }
 
 // wire builds the router's shape-pure state: the slice views carved out
@@ -301,7 +291,6 @@ func (r *Router) rearm(cfg *Config) {
 	r.blockedFlitCycles = 0
 	r.grantedFlits = 0
 	r.vaRR = 0
-	r.cq = nil
 	r.emptySince = 0
 	r.checkAt = -1
 }
@@ -347,7 +336,6 @@ func (r *Router) MaxPortOccupancyScan() int {
 // MaxPortOccupancyScan).
 //
 //catnap:hotpath
-//catnap:worker-safe reads own router state inside the worker-dispatched power phase
 func (r *Router) TotalOccupancyScan() int {
 	t := 0
 	for p := range r.in {
@@ -370,7 +358,6 @@ func (r *Router) BlockingCounters() (blockedCycles, granted int64) {
 // tracer, if one is installed, on the actual Asleep→Waking transition.
 //
 //catnap:hotpath
-//catnap:worker-safe reached from the parallel power/deliver phases; the tracer must accept worker-goroutine calls
 func (r *Router) wake(now int64, delay int, cause WakeCause) {
 	switch r.sub.pstate[r.node] {
 	case PowerActive:
@@ -396,7 +383,6 @@ func (r *Router) wake(now int64, delay int, cause WakeCause) {
 // no pinned arrivals, policy approval).
 //
 //catnap:hotpath
-//catnap:worker-safe reached from the parallel power phase; the tracer must accept worker-goroutine calls
 func (r *Router) sleep(now, idle int64) {
 	r.sub.pstate[r.node] = PowerAsleep
 	r.sub.onSleep(r.node)
@@ -414,7 +400,6 @@ func (r *Router) sleep(now, idle int64) {
 // and the next sleep-eligibility check is scheduled.
 //
 //catnap:hotpath
-//catnap:worker-safe runs inside the worker-dispatched power phase
 func (r *Router) completeWake(now int64) {
 	r.sub.pstate[r.node] = PowerActive
 	r.sub.onWakeDone(r.node)
@@ -481,7 +466,6 @@ func (r *Router) deliver(now int64, p, v int, f flit) {
 // look-ahead route of packets newly at the front of a FIFO.
 //
 //catnap:hotpath
-//catnap:shard-phase touches only this router's input VCs and output-VC ownership
 func (r *Router) vcAllocate() {
 	nports := len(r.in)
 	vcs := r.sub.net.cfg.VCs
@@ -546,7 +530,6 @@ func (r *Router) vcAllocate() {
 // at the NI.
 //
 //catnap:hotpath
-//catnap:shard-phase
 func (r *Router) allocateOutVC(slot int, vc *vcState) {
 	op := &r.out[vc.outPort]
 	cfg := r.sub.net.cfg
@@ -579,7 +562,6 @@ func (r *Router) allocateOutVC(slot int, vc *vcState) {
 // the torus is always the radix-5 mesh port layout.
 //
 //catnap:hotpath
-//catnap:shard-phase pure arithmetic
 func dimBit(p int) uint8 {
 	if p == int(topology.East) || p == int(topology.West) {
 		return 1 << 0
@@ -593,14 +575,9 @@ func dimBit(p int) uint8 {
 // the downstream router being awake.
 //
 //catnap:hotpath
-//catnap:shard-phase cross-router effects route through r.cq while the subnet stages
 func (r *Router) switchAllocate(now int64) {
-	var cq *commitQueue
-	if r.sub.staging {
-		cq = r.cq
-	}
 	if r.slotMask && !r.sub.refScan {
-		r.switchAllocateFast(now, cq)
+		r.switchAllocateFast(now)
 		return
 	}
 	for p := range r.grantedInput {
@@ -635,11 +612,11 @@ func (r *Router) switchAllocate(now int64) {
 				r.blockedFlitCycles++
 				continue
 			}
-			if o != local && r.outputBlocked(now, op, vc, cq) {
+			if o != local && r.outputBlocked(now, op, vc) {
 				r.blockedFlitCycles++
 				continue
 			}
-			r.traverse(now, p, idx%vcs, vc, o, op, cq)
+			r.traverse(now, p, idx%vcs, vc, o, op)
 			r.grantedInput[p] = true
 			op.rr = (idx + 1) % slots
 			granted = true
@@ -656,20 +633,15 @@ func (r *Router) switchAllocate(now int64) {
 // is stranded forever in a quiet network.
 //
 //catnap:hotpath
-//catnap:shard-phase the wakeup stages through cq while the subnet stages
-func (r *Router) outputBlocked(now int64, op *outputPort, vc *vcState, cq *commitQueue) bool {
+func (r *Router) outputBlocked(now int64, op *outputPort, vc *vcState) bool {
 	if op.credits[vc.outVC] <= 0 {
 		return true
 	}
 	st := r.sub.pstate[op.downstream]
 	if st == PowerAsleep {
-		if cq != nil {
-			cq.wakes = append(cq.wakes, int32(op.downstream))
-		} else {
-			cfg := r.sub.net.cfg
-			r.sub.routers[op.downstream].wake(now, cfg.TWakeup-cfg.WakeupHidden, WakeLookAhead)
-			r.sub.events.WakeupSignals++
-		}
+		cfg := r.sub.net.cfg
+		r.sub.routers[op.downstream].wake(now, cfg.TWakeup-cfg.WakeupHidden, WakeLookAhead)
+		r.sub.events.WakeupSignals++
 	}
 	return st != PowerActive
 }
@@ -694,8 +666,7 @@ func (r *Router) outputBlocked(now int64, op *outputPort, vc *vcState, cq *commi
 // slot there only counts as blocked: phase two counts that window.
 //
 //catnap:hotpath
-//catnap:shard-phase
-func (r *Router) switchAllocateFast(now int64, cq *commitQueue) {
+func (r *Router) switchAllocateFast(now int64) {
 	local := r.sub.net.localPort
 	vcs := r.sub.net.cfg.VCs
 	slots := len(r.in) * vcs
@@ -730,12 +701,12 @@ func (r *Router) switchAllocateFast(now int64, cq *commitQueue) {
 			if vc.count == 0 || !vc.routeSet || vc.frontAt > now {
 				continue
 			}
-			if readIn&(1<<uint(idx)) != 0 || o != local && r.outputBlocked(now, op, vc, cq) {
+			if readIn&(1<<uint(idx)) != 0 || o != local && r.outputBlocked(now, op, vc) {
 				r.blockedFlitCycles++
 				continue
 			}
 			p := idx / vcs
-			r.traverse(now, p, idx-p*vcs, vc, o, op, cq)
+			r.traverse(now, p, idx-p*vcs, vc, o, op)
 			readIn |= (1<<uint(vcs) - 1) << uint(p*vcs)
 			op.rr = (idx + 1) % slots
 			kg = j + 1
@@ -762,22 +733,16 @@ func (r *Router) switchAllocateFast(now int64, cq *commitQueue) {
 // circular visit order starting at slot k.
 //
 //catnap:hotpath
-//catnap:shard-phase pure arithmetic
 func rotSlots(m uint64, k, n int) uint64 {
 	return (m>>uint(k) | m<<uint(n-k)) & (1<<uint(n) - 1)
 }
 
 // traverse moves the front flit of input (p, v) through the crossbar onto
 // output port o, updating credits, wormhole state, look-ahead routing and
-// the staged arrival/credit wheels. During the sharded router phase cq is
-// non-nil and every write that leaves the router — wheel staging, the
-// downstream pin, subnet aggregates, activity counters — is buffered in
-// it instead, to be replayed in order by applyCommits; all router-local
-// state (buffers, credits, wormhole allocation) is still updated inline.
+// the staged arrival/credit wheels.
 //
 //catnap:hotpath
-//catnap:shard-phase the `if cq != nil` guards below are exactly the staging discipline the linter enforces
-func (r *Router) traverse(now int64, p, v int, vc *vcState, o int, op *outputPort, cq *commitQueue) {
+func (r *Router) traverse(now int64, p, v int, vc *vcState, o int, op *outputPort) {
 	cfg := r.sub.net.cfg
 	f := vc.pop()
 	bit := uint64(1) << uint(p*cfg.VCs+v) // zero beyond 64 slots (slotMask off)
@@ -790,36 +755,21 @@ func (r *Router) traverse(now int64, p, v int, vc *vcState, o int, op *outputPor
 	r.occHist[occ+1]--
 	r.occHist[occ]++
 	r.totalOcc--
-	if cq != nil {
-		cq.buffered--
-	} else {
-		r.sub.bufferedFlits--
-	}
+	r.sub.bufferedFlits--
 	if occ+1 == r.maxPortOcc && r.occHist[occ+1] == 0 {
 		// The drained port was the sole argmax, and it still holds occ.
-		if cq != nil {
-			cq.bfm = append(cq.bfm, bfmOp{from: int32(r.maxPortOcc), to: int32(occ)})
-		} else {
-			r.sub.noteBFM(r.maxPortOcc, occ)
-		}
+		r.sub.noteBFM(r.maxPortOcc, occ)
 		r.maxPortOcc = occ
 	}
 	if r.totalOcc == 0 {
 		// The router was occupied at powerPhase(now-1): RouterDelay >= 1
 		// means this flit was delivered no later than cycle now-1, so the
 		// buffers were non-empty when the previous power phase ran.
-		if cq != nil {
-			cq.idled = append(cq.idled, int32(r.node))
-		} else {
-			r.sub.clearOccupied(r.node)
-			r.noteBusyEnd(now, now-1)
-		}
+		r.sub.clearOccupied(r.node)
+		r.noteBusyEnd(now, now-1)
 	}
 	r.grantedFlits++
 	ev := r.sub.events
-	if cq != nil {
-		ev = &cq.events
-	}
 	ev.BufferReads++
 	ev.XbarTraversals++
 	ev.ArbiterOps++
@@ -838,27 +788,14 @@ func (r *Router) traverse(now int64, p, v int, vc *vcState, o int, op *outputPor
 	// Return a credit to whoever feeds this input port (upstream router or
 	// the local NI).
 	if p == r.sub.net.localPort {
-		if cq != nil {
-			cq.niCredits = append(cq.niCredits, niCredit{node: r.node, vc: v})
-		} else {
-			r.sub.stageNICredit(now+int64(cfg.CreditDelay), r.node, v)
-		}
+		r.sub.stageNICredit(now+int64(cfg.CreditDelay), r.node, v)
 	} else {
-		c := ip.upCredit + int32(v)
-		if cq != nil {
-			cq.credits = append(cq.credits, c)
-		} else {
-			r.sub.stageCredit(now+int64(cfg.CreditDelay), c)
-		}
+		r.sub.stageCredit(now+int64(cfg.CreditDelay), ip.upCredit+int32(v))
 	}
 
 	if o == r.sub.net.localPort {
 		ev.NIFlits++
-		if cq != nil {
-			cq.ejections = append(cq.ejections, ejection{node: r.node, f: f})
-		} else {
-			r.sub.stageEject(now+int64(cfg.LinkDelay), r.node, f)
-		}
+		r.sub.stageEject(now+int64(cfg.LinkDelay), r.node, f)
 		return
 	}
 
@@ -871,12 +808,6 @@ func (r *Router) traverse(now int64, p, v int, vc *vcState, o int, op *outputPor
 		if cfg.Torus && r.sub.net.topo.WrapsPort(r.node, o) {
 			f.crossed |= dimBit(o)
 		}
-	}
-	if cq != nil {
-		// The downstream pin travels with the arrival and is applied at
-		// commit time (the pinned router may live in another shard).
-		cq.arrivals = append(cq.arrivals, arrival{node: int32(op.downstream), port: uint8(op.downInPort), vc: uint8(outVC), f: f})
-		return
 	}
 	arriveAt := now + int64(cfg.LinkDelay)
 	if arriveAt > r.sub.pinnedUntil[op.downstream] {
@@ -893,7 +824,6 @@ func (r *Router) traverse(now int64, p, v int, vc *vcState, o int, op *outputPor
 // without visiting steady-state routers.
 //
 //catnap:hotpath
-//catnap:worker-safe the power phase runs on worker goroutines under ExecMode.Parallel; policy calls land there
 func (r *Router) powerUpdate(now int64) {
 	cfg := r.sub.net.cfg
 	pol := r.sub.net.gating
@@ -942,7 +872,6 @@ func (r *Router) powerUpdate(now int64) {
 // place.
 //
 //catnap:hotpath
-//catnap:worker-safe see powerUpdate: AllowSleep can be called from worker goroutines
 func (r *Router) powerCheck(now int64, blocked bool) {
 	if r.totalOcc > 0 || r.sub.pinnedUntil[r.node] > now || r.sub.net.niStreaming(r.sub.index, r.node) {
 		if blocked {

@@ -42,7 +42,7 @@ func TestIdleSkipMatchesReferenceScan(t *testing.T) {
 	for _, gating := range []string{"catnap", "baseline", "none"} {
 		ref := diffRunWith(t, diffOpts{gating: gating, ref: true, sched: gappedBursts(0), cycles: skipCycles})
 		fast := diffRunWith(t, diffOpts{gating: gating, skip: true, sched: gappedBursts(0), cycles: skipCycles})
-		compareFingerprints(t, gating+"/skip", ref, fast, true)
+		compareFingerprints(t, gating+"/skip", ref, fast)
 		if fast.skipped < 500 {
 			t.Errorf("%s: skipped only %d cycles; fast-forward never engaged on ~2000 idle cycles", gating, fast.skipped)
 		}
@@ -56,7 +56,7 @@ func TestIdleSkipMatchesReferenceScan(t *testing.T) {
 func TestIdleSkipNonEpochedPolicyVetoes(t *testing.T) {
 	ref := diffRunWith(t, diffOpts{gating: "opaque", ref: true, sched: gappedBursts(0), cycles: skipCycles})
 	fast := diffRunWith(t, diffOpts{gating: "opaque", skip: true, sched: gappedBursts(0), cycles: skipCycles})
-	compareFingerprints(t, "opaque/skip", ref, fast, true)
+	compareFingerprints(t, "opaque/skip", ref, fast)
 	if fast.skipped != 0 {
 		t.Errorf("opaque (non-epoched) gating: skipped %d cycles, want 0 — the every-cycle polling fallback was bypassed", fast.skipped)
 	}
@@ -71,7 +71,7 @@ func TestIdleSkipWheelWraparound(t *testing.T) {
 	for _, offset := range []int64{1, 3, 7, 11} {
 		ref := diffRunWith(t, diffOpts{gating: "catnap", ref: true, sched: gappedBursts(offset), cycles: skipCycles})
 		fast := diffRunWith(t, diffOpts{gating: "catnap", skip: true, sched: gappedBursts(offset), cycles: skipCycles})
-		compareFingerprints(t, "wrap/skip", ref, fast, true)
+		compareFingerprints(t, "wrap/skip", ref, fast)
 		if fast.skipped == 0 {
 			t.Errorf("offset %d: no cycles skipped", offset)
 		}
@@ -94,59 +94,28 @@ func TestIdleSkipDrainDeadline(t *testing.T) {
 	}
 	ref := diffRunWith(t, opts(true, false))
 	fast := diffRunWith(t, opts(false, true))
-	compareFingerprints(t, "drain/skip", ref, fast, true)
+	compareFingerprints(t, "drain/skip", ref, fast)
 	if fast.skipped == 0 {
 		t.Error("no cycles skipped around the drain calls")
 	}
 }
 
 // TestIdleSkipFlipMidRun toggles execution modes through SetExecMode
-// while running: idle fast-forward off and back on, the reference scan on
-// and back off (which force-disables skipping in between), and the
-// sharded router phase — each flip landing in a different traffic phase.
+// while running: idle fast-forward off and back on, and the reference
+// scan on and back off (which force-disables skipping in between) — each
+// flip landing in a different traffic phase.
 // The flipped run must land exactly on the pure-reference trajectory.
 func TestIdleSkipFlipMidRun(t *testing.T) {
 	ref := diffRunWith(t, diffOpts{gating: "catnap", ref: true, sched: gappedBursts(0), cycles: skipCycles})
 	fast := diffRunWith(t, diffOpts{
-		gating: "catnap", skip: true, shards: 2,
+		gating: "catnap", skip: true,
 		sched: gappedBursts(0), cycles: skipCycles,
-		flipSkip:   []int{500, 1700},  // off mid-gap, back on mid-burst's tail
-		flipRef:    []int{1200, 2700}, // reference scan through burst 2, back off mid-tail
-		flipShards: []int{800, 2000},  // unshard mid-gap, reshard mid-gap
+		flipSkip: []int{500, 1700},  // off mid-gap, back on mid-burst's tail
+		flipRef:  []int{1200, 2700}, // reference scan through burst 2, back off mid-tail
 	})
-	compareFingerprints(t, "flip/skip", ref, fast, true)
+	compareFingerprints(t, "flip/skip", ref, fast)
 	if fast.skipped == 0 {
 		t.Error("no cycles skipped across the mode flips")
-	}
-}
-
-// TestIdleSkipParallelSharded repeats the skip differential under the
-// parallel and sharded execution modes (and both together). Transition
-// order across subnets is nondeterministic under parallel execution, so
-// those logs are compared canonically sorted.
-func TestIdleSkipParallelSharded(t *testing.T) {
-	cases := []struct {
-		name     string
-		parallel bool
-		shards   int
-	}{
-		{"parallel", true, 0},
-		{"sharded", false, 2},
-		{"parallel-sharded", true, 2},
-	}
-	for _, c := range cases {
-		ref := diffRunWith(t, diffOpts{
-			gating: "catnap", ref: true, parallel: c.parallel, shards: c.shards,
-			sched: gappedBursts(0), cycles: skipCycles,
-		})
-		fast := diffRunWith(t, diffOpts{
-			gating: "catnap", skip: true, parallel: c.parallel, shards: c.shards,
-			sched: gappedBursts(0), cycles: skipCycles,
-		})
-		compareFingerprints(t, c.name+"/skip", ref, fast, !c.parallel)
-		if fast.skipped == 0 {
-			t.Errorf("%s: no cycles skipped", c.name)
-		}
 	}
 }
 
@@ -163,17 +132,13 @@ func TestIdleSkipObserverVeto(t *testing.T) {
 	cfg := testConfig(4, 4, 2, 128)
 
 	net := newNet(t, cfg)
-	if err := net.SetExecMode(noc.ExecMode{IdleSkip: true}); err != nil {
-		t.Fatal(err)
-	}
+	net.SetExecMode(noc.ExecMode{IdleSkip: true})
 	if k := net.TrySkipIdle(1000); k == 0 {
 		t.Error("empty quiescent network with no observers refused to skip")
 	}
 
 	vetoed := newNet(t, cfg)
-	if err := vetoed.SetExecMode(noc.ExecMode{IdleSkip: true}); err != nil {
-		t.Fatal(err)
-	}
+	vetoed.SetExecMode(noc.ExecMode{IdleSkip: true})
 	vetoed.AddObserver(&plainObserver{})
 	if k := vetoed.TrySkipIdle(1000); k != 0 {
 		t.Errorf("per-cycle observer did not veto: skipped %d cycles", k)
@@ -185,61 +150,26 @@ func TestIdleSkipObserverVeto(t *testing.T) {
 	}
 
 	refScan := newNet(t, cfg)
-	if err := refScan.SetExecMode(noc.ExecMode{IdleSkip: true, ReferenceScan: true}); err != nil {
-		t.Fatal(err)
-	}
+	refScan.SetExecMode(noc.ExecMode{IdleSkip: true, ReferenceScan: true})
 	if k := refScan.TrySkipIdle(1000); k != 0 {
 		t.Errorf("reference-scan network skipped %d cycles", k)
 	}
 }
 
 // TestExecModeRoundTrip covers the consolidated execution-mode surface:
-// SetExecMode validates, applies, and reads back every field, including
-// the shard-dispatch tuning knobs.
+// SetExecMode applies and reads back every field.
 func TestExecModeRoundTrip(t *testing.T) {
 	cfg := testConfig(4, 4, 2, 128)
 	net := newNet(t, cfg)
-
-	if err := net.SetExecMode(noc.ExecMode{Shards: -1}); err == nil {
-		t.Error("SetExecMode accepted negative Shards")
-	}
-	if err := net.SetExecMode(noc.ExecMode{StealBatch: -1}); err == nil {
-		t.Error("SetExecMode accepted negative StealBatch")
-	}
-	if err := (noc.ExecMode{Shards: -3, StealBatch: 2}).Validate(); err == nil {
-		t.Error("Validate accepted negative Shards")
-	}
-	if err := (noc.ExecMode{StealBatch: 0}).Validate(); err != nil {
-		t.Errorf("Validate rejected StealBatch=0 (auto): %v", err)
-	}
-	if err := (noc.ExecMode{Shards: 8, ShardAffinity: true, StealBatch: 4}).Validate(); err != nil {
-		t.Errorf("Validate rejected a valid tuned mode: %v", err)
-	}
-
 	for _, want := range []noc.ExecMode{
-		{Parallel: true, Shards: 2, PacketRecycling: true, IdleSkip: true},
-		{Shards: 3, ShardAffinity: true, StealBatch: 2},
-		{Shards: 1, StealBatch: 7, IdleSkip: true},
+		{PacketRecycling: true, IdleSkip: true},
 		{ReferenceScan: true, IdleSkip: true},
+		{ReferenceScan: true, PacketRecycling: true},
 		{},
 	} {
-		if err := net.SetExecMode(want); err != nil {
-			t.Fatalf("SetExecMode(%+v): %v", want, err)
-		}
+		net.SetExecMode(want)
 		if got := net.ExecMode(); got != want {
 			t.Errorf("ExecMode round trip: got %+v, want %+v", got, want)
 		}
-	}
-
-	// A failed SetExecMode must not partially apply.
-	good := noc.ExecMode{Shards: 2, ShardAffinity: true}
-	if err := net.SetExecMode(good); err != nil {
-		t.Fatal(err)
-	}
-	if err := net.SetExecMode(noc.ExecMode{Shards: 4, StealBatch: -9}); err == nil {
-		t.Fatal("invalid mode accepted")
-	}
-	if got := net.ExecMode(); got != good {
-		t.Errorf("rejected mode leaked through: got %+v, want %+v", got, good)
 	}
 }

@@ -49,7 +49,7 @@ type Subnet struct {
 
 	// O(active) work-list state (see DESIGN.md "Hot path"). Everything
 	// below is written only from this subnet's deliver/router/power
-	// phases, preserving the no-shared-state parallel invariant.
+	// phases.
 	//
 	// refScan selects the retained O(nodes)-scan reference phases; the
 	// aggregates are maintained in both modes so observers read the same
@@ -82,24 +82,12 @@ type Subnet struct {
 	// asleep/blocked routers.
 	lastEpoch uint64
 
-	// Sharded router phase state (see shard.go). shardQueues[k] is band
-	// k's commit queue, shardBusy[k] its processed-router count for the
-	// cycle (telemetry's imbalance series), and staging flips true only
-	// for the duration of the concurrent router phase — while it is set,
-	// switch allocation routes all cross-router effects through the
-	// router's commit queue instead of writing subnet state directly.
-	shardQueues []commitQueue
-	shardBusy   []int32
-	staging     bool
-
-	// Struct-of-arrays hot state (see DESIGN.md "Sharded router phase"):
-	// the per-router fields the VA/SA/ST and power passes touch every
-	// cycle live in flat per-subnet slices indexed by node id, so phase
-	// loops scan adjacent cache lines instead of pointer-chasing through
-	// ~500-byte Router structs, and a shard's rows stay resident on the
-	// worker that warmed them. Routers hold views into these arrays
-	// (Router.occ, outputPort.credits), which also keeps shard-phase
-	// writes receiver-rooted for the staging-discipline linter.
+	// Struct-of-arrays hot state (see DESIGN.md "Hot path"): the
+	// per-router fields the VA/SA/ST and power passes touch every cycle
+	// live in flat per-subnet slices indexed by node id, so phase loops
+	// scan adjacent cache lines instead of pointer-chasing through
+	// ~500-byte Router structs. Routers hold views into these arrays
+	// (Router.occ, outputPort.credits).
 	// pstate[n] is router n's power state (zero value == PowerActive).
 	pstate []PowerState
 	// occSlots[n] is router n's non-empty (port,VC) slot bitmask;
@@ -240,108 +228,6 @@ func (s *Subnet) routerPhase(now int64) {
 	}
 }
 
-// routerPhaseShard is routerPhase restricted to shard band `shard`,
-// with all cross-router effects staged in the band's commit queue
-// (s.staging is set, so switchAllocate/traverse route through r.cq).
-// Visit order within the band is ascending node id, identical to the
-// sequential phase's order over those nodes. It also records how many
-// routers the band processed, the telemetry imbalance counter.
-//
-//catnap:hotpath
-//catnap:shard-phase runs concurrently with sibling bands; cross-router effects must stage via r.cq
-func (s *Subnet) routerPhaseShard(now int64, shard int) {
-	mask := s.net.plan.masks[shard]
-	busy := int32(0)
-	for i, w := range s.occBits {
-		w &= mask[i]
-		for w != 0 {
-			n := i<<6 + bits.TrailingZeros64(w)
-			w &= w - 1
-			if s.pstate[n] != PowerActive {
-				continue
-			}
-			r := &s.routers[n]
-			busy++
-			r.vcAllocate()
-			r.switchAllocate(now)
-		}
-	}
-	s.shardBusy[shard] = busy
-}
-
-// applyCommits drains every shard's commit queue in ascending shard
-// order. Bands are contiguous ascending node ranges and each queue holds
-// its effects in staging order, so the replay performs the exact write
-// sequence — wheel appends, pin updates, wakeups, busy-streak ends,
-// aggregate moves — the sequential router phase would have performed,
-// which is what makes sharded stepping bit-identical.
-//
-// The queue entry types are the wheel entry types, and every entry of a
-// kind lands in the same wheel slot (the delays are phase constants), so
-// each kind is applied as one bulk slice append instead of entry-at-a-
-// time re-staging; per-kind FIFO order — the only order the wheels can
-// observe — is preserved exactly. Only the order-sensitive effects
-// (pins, wake re-checks, idle transitions, histogram moves) remain
-// per-entry loops. Runs after the barrier, single-threaded per subnet,
-// before the power phase.
-//
-//catnap:hotpath
-//catnap:commit-apply the designated drain point for staged shard effects
-func (s *Subnet) applyCommits(now int64) {
-	cfg := s.net.cfg
-	arriveAt := now + int64(cfg.LinkDelay)
-	creditAt := now + int64(cfg.CreditDelay)
-	ai := s.slot(arriveAt)
-	ci := s.slot(creditAt)
-	for k := range s.shardQueues {
-		cq := &s.shardQueues[k]
-		if len(cq.credits) > 0 {
-			s.credits[ci] = append(s.credits[ci], cq.credits...)
-		}
-		if len(cq.niCredits) > 0 {
-			s.niCredits[ci] = append(s.niCredits[ci], cq.niCredits...)
-		}
-		if len(cq.arrivals) > 0 {
-			for _, a := range cq.arrivals {
-				if arriveAt > s.pinnedUntil[a.node] {
-					s.pinnedUntil[a.node] = arriveAt
-				}
-			}
-			s.arrivals[ai] = append(s.arrivals[ai], cq.arrivals...)
-		}
-		if len(cq.ejections) > 0 {
-			s.ejections[ai] = append(s.ejections[ai], cq.ejections...)
-		}
-		for _, nid := range cq.wakes {
-			// First-encounter semantics: the sequential path wakes a
-			// sleeping downstream once and later blockers see it Waking.
-			// Staged requests recorded it Asleep phase-wide; the ordered
-			// re-check here fires only the first one.
-			if s.pstate[nid] == PowerAsleep {
-				s.routers[nid].wake(now, cfg.TWakeup-cfg.WakeupHidden, WakeLookAhead)
-				s.events.WakeupSignals++
-			}
-		}
-		for _, nid := range cq.idled {
-			s.clearOccupied(int(nid))
-			s.routers[nid].noteBusyEnd(now, now-1)
-		}
-		for _, m := range cq.bfm {
-			s.noteBFM(int(m.from), int(m.to))
-		}
-		s.events.Add(&cq.events)
-		s.bufferedFlits += cq.buffered
-		cq.reset()
-	}
-}
-
-// ShardBusy returns the per-shard processed-router counts of the most
-// recent sharded router phase (nil when sharding is off). Telemetry
-// samples it per cycle; callers must not modify it.
-//
-//catnap:hotpath
-func (s *Subnet) ShardBusy() []int32 { return s.shardBusy }
-
 // routerPhaseScan is the retained reference implementation: visit every
 // router, skipping gated and empty ones by rescanning their ports.
 //
@@ -368,7 +254,6 @@ func (s *Subnet) routerPhaseScan(now int64) {
 // ascending node id.
 //
 //catnap:hotpath
-//catnap:worker-safe runs on worker goroutines under ExecMode.Parallel/Shards; WantWake calls land there
 func (s *Subnet) powerPhase(now int64) {
 	if s.refScan {
 		s.powerPhaseScan(now)
@@ -446,7 +331,6 @@ func (s *Subnet) powerPhase(now int64) {
 // every cycle.
 //
 //catnap:hotpath
-//catnap:worker-safe runs inside the worker-dispatched power phase
 func (s *Subnet) powerPhaseScan(now int64) {
 	for n := range s.routers {
 		s.routers[n].powerUpdate(now)
@@ -571,11 +455,9 @@ func (s *Subnet) clearOccupied(n int) {
 // changes instead of every cycle).
 //
 //catnap:hotpath
-//catnap:worker-safe own-subnet bitmap write in the power phase
 func (s *Subnet) setBlocked(n int) { s.blockedBits[n>>6] |= 1 << (uint(n) & 63) }
 
 //catnap:hotpath
-//catnap:worker-safe own-subnet bitmap write in the power phase
 func (s *Subnet) clearBlocked(n int) { s.blockedBits[n>>6] &^= 1 << (uint(n) & 63) }
 
 // onSleep records an Active→Asleep transition. The fresh sleeper is owed
@@ -583,7 +465,6 @@ func (s *Subnet) clearBlocked(n int) { s.blockedBits[n>>6] &^= 1 << (uint(n) & 6
 // not move (a generic epoched policy may want it straight back up).
 //
 //catnap:hotpath
-//catnap:worker-safe runs inside the worker-dispatched power phase
 func (s *Subnet) onSleep(n int) {
 	s.stateCount[PowerActive]--
 	s.stateCount[PowerAsleep]++
@@ -595,7 +476,6 @@ func (s *Subnet) onSleep(n int) {
 // onWakeStart records an Asleep→Waking transition.
 //
 //catnap:hotpath
-//catnap:worker-safe runs inside the worker-dispatched power phase
 func (s *Subnet) onWakeStart(n int) {
 	s.stateCount[PowerAsleep]--
 	s.stateCount[PowerWaking]++
@@ -607,7 +487,6 @@ func (s *Subnet) onWakeStart(n int) {
 // onWakeDone records a Waking→Active transition.
 //
 //catnap:hotpath
-//catnap:worker-safe own-subnet state-count update during the worker-dispatched power phase
 func (s *Subnet) onWakeDone(n int) {
 	s.stateCount[PowerWaking]--
 	s.stateCount[PowerActive]++
@@ -615,7 +494,6 @@ func (s *Subnet) onWakeDone(n int) {
 }
 
 //catnap:hotpath
-//catnap:worker-safe pure index arithmetic
 func (s *Subnet) slotCheck(cycle int64) int { return int(cycle % int64(len(s.checkWheel))) }
 
 // scheduleCheck (re)schedules router r's next sleep-eligibility check at
@@ -626,7 +504,6 @@ func (s *Subnet) slotCheck(cycle int64) int { return int(cycle % int64(len(s.che
 // gating policy; SetGatingPolicy re-arms every router when one appears.
 //
 //catnap:hotpath
-//catnap:worker-safe stages into the owning shard's check wheel during the power phase
 func (s *Subnet) scheduleCheck(r *Router, now int64) {
 	if s.refScan || s.net.gating == nil {
 		return

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"strconv"
-	"sync/atomic"
 
 	"github.com/catnap-noc/catnap/internal/stats"
 )
@@ -31,9 +30,9 @@ type MetricPoint struct {
 	Value float64 `json:"value"`
 }
 
-// Counter is a monotonically increasing total. Add is atomic because
-// power and congestion callbacks may arrive from per-subnet goroutines
-// under noc.ExecMode.Parallel.
+// Counter is a monotonically increasing total. Like the series, a
+// counter belongs to one collector and is bumped only from callbacks on
+// the goroutine that steps its network, so it needs no synchronization.
 type Counter struct {
 	name   string
 	subnet int
@@ -43,11 +42,10 @@ type Counter struct {
 // Add increments the counter by d.
 //
 //catnap:hotpath
-//catnap:worker-safe atomic increment; deliverable from shard workers
-func (c *Counter) Add(d int64) { atomic.AddInt64(&c.v, d) }
+func (c *Counter) Add(d int64) { c.v += d }
 
 // Value returns the current total.
-func (c *Counter) Value() int64 { return atomic.LoadInt64(&c.v) }
+func (c *Counter) Value() int64 { return c.v }
 
 // Name returns the counter's metric name.
 func (c *Counter) Name() string { return c.name }

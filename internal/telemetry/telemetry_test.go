@@ -3,8 +3,10 @@ package telemetry_test
 import (
 	"bytes"
 	"encoding/csv"
+	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"github.com/catnap-noc/catnap/internal/congestion"
@@ -193,73 +195,6 @@ func TestCollectorEventsAndMetrics(t *testing.T) {
 	}
 }
 
-// TestShardBusySeries: a collector attached to a sharded network emits
-// one noc.shard_busy_router_cycles.<k> series per (subnet, shard), the
-// per-shard busy counts stay within each band's router budget, and at
-// least one shard saw work. An unsharded network must emit none — the
-// series are off by default and exist only when stepping is sharded at
-// attach time.
-func TestShardBusySeries(t *testing.T) {
-	const cycles, window = 1000, 50
-	cfg := testConfig()
-	net, err := noc.New(cfg, core.NewRRSelector(cfg.Nodes()))
-	if err != nil {
-		t.Fatalf("noc.New: %v", err)
-	}
-	det := congestion.NewDetector(net, congestion.Default(congestion.BFM))
-	net.AddObserver(det)
-	net.SetSelector(core.NewCatnapSelector(det, cfg.Nodes()))
-	net.SetGatingPolicy(core.NewCatnapGating(det))
-	// Shard before Attach: the collector sizes its series then.
-	if err := net.SetExecMode(noc.ExecMode{Shards: 2}); err != nil {
-		t.Fatal(err)
-	}
-	rec := telemetry.NewRecorder(telemetry.Options{Window: window})
-	rec.Attach(net, det, "shards")
-	gen := traffic.NewGenerator(net, traffic.UniformRandom{}, burstSchedule(), 42)
-	run(net, gen, cycles)
-
-	prefix := telemetry.MetricShardBusyRouterCycles + "."
-	series := map[string]int{} // metric name -> windows seen
-	busyTotal := 0.0
-	for _, p := range rec.Metrics() {
-		if !strings.HasPrefix(p.Metric, prefix) {
-			continue
-		}
-		if p.Subnet < 0 || p.Subnet >= net.Subnets() {
-			t.Fatalf("shard-busy point with subnet %d", p.Subnet)
-		}
-		// 2 shards over 4 rows: 8 routers per band, so a window can hold
-		// at most 8 busy routers per cycle.
-		if p.Value < 0 || p.Value > window*8 {
-			t.Fatalf("shard-busy window value %v out of range: %+v", p.Value, p)
-		}
-		series[p.Metric]++
-		busyTotal += p.Value
-	}
-	if len(series) != 2 {
-		t.Fatalf("shard-busy series names = %v, want exactly shards 0 and 1", series)
-	}
-	for name, windows := range series {
-		// One point per window per subnet.
-		if want := (cycles / window) * net.Subnets(); windows != want {
-			t.Errorf("%s has %d points, want %d", name, windows, want)
-		}
-	}
-	if busyTotal == 0 {
-		t.Error("no shard reported busy routers despite traffic")
-	}
-
-	// Unsharded control: no shard-busy series at all.
-	net2, gen2, rec2 := buildInstrumented(t, false, telemetry.Options{Window: window})
-	run(net2, gen2, cycles)
-	for _, p := range rec2.Metrics() {
-		if strings.HasPrefix(p.Metric, prefix) {
-			t.Fatalf("unsharded network emitted shard-busy point %+v", p)
-		}
-	}
-}
-
 // TestEventStreamRoundTrip checks the streaming JSONL sink reproduces
 // the in-memory log exactly through ReadAllEvents.
 func TestEventStreamRoundTrip(t *testing.T) {
@@ -341,28 +276,64 @@ func TestLogRingBound(t *testing.T) {
 	}
 }
 
-// TestParallelMatchesSequential: telemetry output under parallel subnet
-// execution must match sequential execution (events may interleave
-// across subnets, so compare as multisets).
+// TestParallelMatchesSequential mirrors a sweep: one recorder's
+// log and collector list are shared by simulations that step on
+// concurrent goroutines (the race detector sees this test). Each run's
+// metrics and the log's event counts must equal those of the same runs
+// stepped one after another.
 func TestParallelMatchesSequential(t *testing.T) {
-	var ev [2]map[telemetry.Event]int
-	var mp [2][]telemetry.MetricPoint
-	for i, par := range []bool{false, true} {
-		net, gen, rec := buildInstrumented(t, false, telemetry.Options{Window: 50, RingCap: 1 << 16})
-		if err := net.SetExecMode(noc.ExecMode{Parallel: par}); err != nil {
-			t.Fatal(err)
+	const runs, cycles = 3, 1000
+	record := func(concurrent bool) *telemetry.Recorder {
+		rec := telemetry.NewRecorder(telemetry.Options{Window: 50, RingCap: 1 << 16})
+		step := func(i int) {
+			cfg := testConfig()
+			net, err := noc.New(cfg, core.NewRRSelector(cfg.Nodes()))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			det := congestion.NewDetector(net, congestion.Default(congestion.BFM))
+			net.SetSelector(core.NewCatnapSelector(det, cfg.Nodes()))
+			net.SetGatingPolicy(core.NewCatnapGating(det))
+			net.AddObserver(det)
+			rec.Attach(net, det, fmt.Sprintf("run-%d", i))
+			run(net, traffic.NewGenerator(net, traffic.UniformRandom{}, burstSchedule(), uint64(40+i)), cycles)
 		}
-		run(net, gen, 1000)
-		ev[i] = map[telemetry.Event]int{}
-		for _, e := range rec.Log().Events() {
-			ev[i][e]++
+		if !concurrent {
+			for i := 0; i < runs; i++ {
+				step(i)
+			}
+			return rec
 		}
-		mp[i] = rec.Metrics()
+		var wg sync.WaitGroup
+		for i := 0; i < runs; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				step(i)
+			}(i)
+		}
+		wg.Wait()
+		return rec
 	}
-	if !reflect.DeepEqual(ev[0], ev[1]) {
-		t.Errorf("event multisets differ between sequential and parallel runs")
+	seq, par := record(false), record(true)
+
+	byLabel := func(rec *telemetry.Recorder) map[string][]telemetry.MetricPoint {
+		m := map[string][]telemetry.MetricPoint{}
+		for _, p := range rec.Metrics() {
+			m[p.Label] = append(m[p.Label], p)
+		}
+		return m
 	}
-	if !reflect.DeepEqual(mp[0], mp[1]) {
-		t.Errorf("metrics differ between sequential and parallel runs")
+	if !reflect.DeepEqual(byLabel(seq), byLabel(par)) {
+		t.Error("per-run metrics differ between sequential and concurrent runs")
+	}
+	for _, typ := range []telemetry.EventType{telemetry.EventRouterSleep, telemetry.EventRouterWake} {
+		if s, p := seq.Log().Count(typ), par.Log().Count(typ); s != p || s == 0 {
+			t.Errorf("%v events: sequential %d, concurrent %d (want equal and nonzero)", typ, s, p)
+		}
+	}
+	if s, p := seq.Log().Total(), par.Log().Total(); s != p {
+		t.Errorf("log totals: sequential %d, concurrent %d", s, p)
 	}
 }

@@ -2,6 +2,7 @@ package trace_test
 
 import (
 	"bytes"
+	"io"
 	"reflect"
 	"strings"
 	"testing"
@@ -11,6 +12,16 @@ import (
 	"github.com/catnap-noc/catnap/internal/trace"
 	"github.com/catnap-noc/catnap/internal/traffic"
 )
+
+// each parses a trace through NewReader and Reader.Each.
+func each(r io.Reader, fn func(trace.Record) error) error {
+	tr, err := trace.NewReader(r)
+	if err != nil {
+		return err
+	}
+	defer tr.Close()
+	return tr.Each(fn)
+}
 
 func TestRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
@@ -24,7 +35,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got []trace.Record
-	if err := trace.Read(&buf, func(r trace.Record) error { got = append(got, r); return nil }); err != nil {
+	if err := each(&buf, func(r trace.Record) error { got = append(got, r); return nil }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 {
@@ -37,7 +48,7 @@ func TestRoundTrip(t *testing.T) {
 }
 
 func TestReadRejectsGarbage(t *testing.T) {
-	err := trace.Read(strings.NewReader("{\"id\":1}\nnot json\n"), func(trace.Record) error { return nil })
+	err := each(strings.NewReader("{\"id\":1}\nnot json\n"), func(trace.Record) error { return nil })
 	if err == nil {
 		t.Fatal("garbage accepted")
 	}

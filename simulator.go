@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"runtime"
 
 	"github.com/catnap-noc/catnap/internal/congestion"
 	"github.com/catnap-noc/catnap/internal/core"
@@ -160,30 +159,15 @@ func (s *Simulator) Reset(cfg Config) error {
 		s.Net.SetGatingPolicy(core.NewCatnapGating(s.Det))
 	}
 
-	shards := 0
-	if cfg.ShardedRouters {
-		shards = cfg.ShardCount
-		if shards <= 0 {
-			shards = runtime.GOMAXPROCS(0)
-		}
-	}
 	// The Simulator owns every packet producer and consumer it wires up
 	// (synthetic generators discard the handle; the cpusim models retain
 	// only the Payload), so packet structs are recycled through per-NI
 	// freelists. Custom sinks added via Net.AddSink must not retain a
 	// *Packet past the callback.
-	// Shard-affine dispatch is on whenever sharding is: the Simulator's
-	// workloads step the same busy set cycle after cycle, which is
-	// exactly the access pattern affinity rewards.
-	if err := s.Net.SetExecMode(noc.ExecMode{
-		Parallel:        cfg.ParallelSubnets,
-		Shards:          shards,
-		ShardAffinity:   shards > 0,
+	s.Net.SetExecMode(noc.ExecMode{
 		PacketRecycling: true,
 		IdleSkip:        !cfg.NoIdleSkip,
-	}); err != nil {
-		return err
-	}
+	})
 	s.Model = power.NewModel(cfg.powerParams(), s.Net.Config(), cfg.VoltageV)
 
 	s.Net.AddSink(func(now int64, p *noc.Packet) {
@@ -295,20 +279,16 @@ func (s *Simulator) UseSplitMix(westMix, eastMix string) (*cpusim.System, error)
 // System returns the attached system model, or nil.
 func (s *Simulator) System() *cpusim.System { return s.sys }
 
-// SetExecMode applies a validated execution mode to this simulator's
-// network and keeps the congestion detector's reference-scan setting in
-// sync with the network's — the single coherent surface for every
-// execution knob (parallelism, sharding, reference scan, packet
-// recycling, idle fast-forward). Mid-run flips are supported and results
-// are bit-identical across all modes.
-func (s *Simulator) SetExecMode(m noc.ExecMode) error {
-	if err := s.Net.SetExecMode(m); err != nil {
-		return err
-	}
+// SetExecMode applies an execution mode to this simulator's network and
+// keeps the congestion detector's reference-scan setting in sync with the
+// network's — the single coherent surface for every execution knob
+// (reference scan, packet recycling, idle fast-forward). Mid-run flips
+// are supported and results are bit-identical across all modes.
+func (s *Simulator) SetExecMode(m noc.ExecMode) {
+	s.Net.SetExecMode(m)
 	if s.Det != nil {
 		s.Det.SetReferenceScan(m.ReferenceScan)
 	}
-	return nil
 }
 
 // ExecMode returns the currently applied execution mode.
