@@ -29,13 +29,18 @@ lint:
 # under the race detector. Network.Step is single-threaded; goroutines
 # exist only across sweep points: the internal/runner worker pool, the
 # per-worker SimPool reuse (with the shared topology precompute cache
-# underneath), and the telemetry Recorder whose Log every point of a
-# sweep shares. So: all of internal/runner and internal/telemetry, plus
-# the root sweep, SimPool, and telemetry tests.
+# underneath), the process-wide interned arrival-stream table in
+# internal/traffic that concurrent points record into and replay from,
+# the explore engine's campaign-lifetime worker states handed to each
+# round's workers, and the telemetry Recorder whose Log every point of
+# a sweep shares. So: all of internal/runner, internal/traffic,
+# internal/explore and internal/telemetry, plus the root sweep, SimPool,
+# explore and ablation goldens (pools crossing rounds, shared streams),
+# and telemetry tests.
 check-race:
-	$(GO) test -race -count=1 -timeout 60m ./internal/runner ./internal/telemetry
+	$(GO) test -race -count=1 -timeout 60m ./internal/runner ./internal/traffic ./internal/explore ./internal/telemetry
 	$(GO) test -race -count=1 -timeout 60m \
-		-run 'Fig6ParallelMatchesSequential|AppWorkloadsBaselineNormalization|SweepPanic|RunCtxCancellation|SimPool|ReuseMatchesNoReuse|Telemetry' .
+		-run 'Fig6ParallelMatchesSequential|AppWorkloadsBaselineNormalization|SweepPanic|RunCtxCancellation|SimPool|ReuseMatchesNoReuse|Telemetry|ExploreGolden|AblationGolden' .
 
 build:
 	$(GO) build ./...

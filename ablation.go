@@ -1,8 +1,9 @@
 package catnap
 
 import (
-	"fmt"
+	"context"
 
+	"github.com/catnap-noc/catnap/internal/runner"
 	"github.com/catnap-noc/catnap/internal/traffic"
 )
 
@@ -10,7 +11,8 @@ import (
 // varies one design choice of the Catnap architecture around the paper's
 // operating point and measures the low-load power-gating benefit (CSC,
 // power) against the latency cost, on uniform random traffic at a light
-// and a moderate load. cmd/catnap exposes them via `ablation`;
+// and a moderate load. Each study is a registered experiment named
+// "ablation-<study>" (cmd/catnap also accepts `ablation <study>`);
 // ablation_test.go benchmarks them.
 
 // AblationPoint is one (variant, load) measurement.
@@ -98,36 +100,64 @@ var AblationStudies = []AblationStudy{
 // light (deep-sleep regime) and moderate (transition-heavy regime).
 var AblationLoads = []float64{0.03, 0.15}
 
-// RunAblation executes the named study and returns one point per
-// (variant, load).
-func RunAblation(name string, sc Scale) ([]AblationPoint, error) {
-	sc = sc.or(DefaultSyntheticScale.Warmup, DefaultSyntheticScale.Measure)
-	var study *AblationStudy
+// registerAblations registers one sweep-engine experiment per study,
+// after the paper's figures and tables.
+func registerAblations() {
 	for i := range AblationStudies {
-		if AblationStudies[i].Name == name {
-			study = &AblationStudies[i]
-			break
-		}
+		study := &AblationStudies[i]
+		registerExperiment(ExperimentInfo{"ablation-" + study.Name, "ablation: " + study.Doc, "study"},
+			func(ctx context.Context, opts ExperimentOpts) (*ExperimentResult, error) {
+				pts, err := runAblation(ctx, study, opts)
+				if err != nil {
+					return nil, err
+				}
+				res := &ExperimentResult{
+					Name:   "ablation-" + study.Name,
+					Header: []string{"variant", "offered", "power (W)", "CSC (%)", "latency (cyc)", "accepted"},
+					Data:   pts,
+				}
+				for _, p := range pts {
+					r := p.Results
+					res.Rows = append(res.Rows, []string{
+						p.Variant, fcell(p.Offered, 2),
+						fcell(r.Power.Total, 1), fcell(r.CSCPercent, 1), fcell(r.AvgLatency, 1), fcell(r.AcceptedThroughput, 3),
+					})
+				}
+				return res, nil
+			})
 	}
-	if study == nil {
-		return nil, fmt.Errorf("catnap: unknown ablation %q (have %v)", name, AblationNames())
-	}
-	var out []AblationPoint
+}
+
+// runAblation measures every (variant, load) point of one study on the
+// sweep engine. The study's two operating points are part of its
+// definition, so ExperimentOpts.Loads does not apply.
+func runAblation(ctx context.Context, study *AblationStudy, o ExperimentOpts) ([]AblationPoint, error) {
+	sc := o.Scale.or(DefaultSyntheticScale.Warmup, DefaultSyntheticScale.Measure)
+	var pts []runner.Point[AblationPoint]
 	for _, v := range study.Variants {
+		cfg := mustDesign("4NT-128b-PG")
+		v.Mutate(&cfg)
+		cfg.ApplyDefaults()
+		cfg.Name = "4NT-128b-PG[" + study.Name + "=" + v.Label + "]"
 		for _, load := range AblationLoads {
-			cfg := mustDesign("4NT-128b-PG")
-			v.Mutate(&cfg)
-			cfg.ApplyDefaults()
-			cfg.Name = "4NT-128b-PG[" + study.Name + "=" + v.Label + "]"
-			sim, err := New(cfg)
-			if err != nil {
-				return nil, err
-			}
-			res := sim.RunSynthetic(traffic.UniformRandom{}, traffic.Constant(load), sc.Warmup, sc.Measure)
-			out = append(out, AblationPoint{Study: study.Name, Variant: v.Label, Offered: load, Results: res})
+			pts = append(pts, runner.Point[AblationPoint]{
+				Label:  pointLabel(cfg.Name, load),
+				Cycles: sc.Warmup + sc.Measure,
+				Run: func(ctx context.Context) (AblationPoint, error) {
+					sim, err := simForCtx(ctx, o.tuneCfg(cfg))
+					if err != nil {
+						return AblationPoint{}, err
+					}
+					res, err := sim.RunSyntheticCtx(ctx, traffic.UniformRandom{}, traffic.Constant(load), sc.Warmup, sc.Measure)
+					if err != nil {
+						return AblationPoint{}, err
+					}
+					return AblationPoint{Study: study.Name, Variant: v.Label, Offered: load, Results: res}, nil
+				},
+			})
 		}
 	}
-	return out, nil
+	return sweep(ctx, pts, o.Sweep)
 }
 
 // AblationNames lists the available studies.

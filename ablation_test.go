@@ -1,6 +1,12 @@
 package catnap
 
-import "testing"
+import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"testing"
+)
 
 // Ablation benchmarks: one per design-choice study DESIGN.md calls out.
 // Each reports the low-load CSC of the extreme variants so regressions in
@@ -11,13 +17,19 @@ import "testing"
 // and RCS-latch transients by two orders of magnitude).
 var ablationScale = Scale{Warmup: 1500, Measure: 6000}
 
+// runAblationStudy runs one study through the registry.
+func runAblationStudy(tb testing.TB, study string, sc Scale) []AblationPoint {
+	tb.Helper()
+	res, err := RunExperiment(context.Background(), "ablation-"+study, ExperimentOpts{Scale: sc, Sweep: SweepOptions{Jobs: 2}})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res.Data.([]AblationPoint)
+}
+
 func benchAblation(b *testing.B, study string) {
 	for i := 0; i < b.N; i++ {
-		pts, err := RunAblation(study, ablationScale)
-		if err != nil {
-			b.Fatal(err)
-		}
-		for _, p := range pts {
+		for _, p := range runAblationStudy(b, study, ablationScale) {
 			if p.Offered == AblationLoads[0] {
 				b.ReportMetric(p.Results.CSCPercent, p.Variant+"_CSC%")
 			}
@@ -51,7 +63,16 @@ func TestAblationRegistry(t *testing.T) {
 	if len(names) != 6 {
 		t.Fatalf("%d studies, want 6", len(names))
 	}
-	if _, err := RunAblation("nope", Scale{Warmup: 10, Measure: 10}); err == nil {
+	registered := map[string]bool{}
+	for _, e := range Experiments() {
+		registered[e.Name] = true
+	}
+	for _, n := range names {
+		if !registered["ablation-"+n] {
+			t.Errorf("study %q is not a registered experiment", n)
+		}
+	}
+	if _, err := RunExperiment(context.Background(), "ablation-nope", ExperimentOpts{Scale: Scale{Warmup: 10, Measure: 10}}); err == nil {
 		t.Error("unknown study should error")
 	}
 }
@@ -59,12 +80,8 @@ func TestAblationRegistry(t *testing.T) {
 // TestAblationIdleDetectShape: a longer idle-detect window must not gate
 // more than a shorter one (it strictly delays sleep).
 func TestAblationIdleDetectShape(t *testing.T) {
-	pts, err := RunAblation("idle-detect", Scale{Warmup: 1000, Measure: 5000})
-	if err != nil {
-		t.Fatal(err)
-	}
 	csc := map[string]float64{}
-	for _, p := range pts {
+	for _, p := range runAblationStudy(t, "idle-detect", Scale{Warmup: 1000, Measure: 5000}) {
 		if p.Offered == AblationLoads[0] {
 			csc[p.Variant] = p.Results.CSCPercent
 		}
@@ -74,6 +91,25 @@ func TestAblationIdleDetectShape(t *testing.T) {
 	}
 	if csc["T=4"] < 40 {
 		t.Errorf("paper operating point CSC %.1f%% too low at light load", csc["T=4"])
+	}
+}
+
+// ablationGolden is the SHA-256 of every study's points (full-precision
+// Results) at a short scale. It was recorded when the studies still ran
+// one fresh simulator per point in a private sequential loop; running
+// them on the sweep engine with pooled simulators and interned arrival
+// streams must not move it.
+const ablationGolden = "da5ec68f5a331249df59e49c34ca8c8bf8cd1dce9440129d3f91e7b09f63b112"
+
+func TestAblationGoldenFingerprint(t *testing.T) {
+	h := sha256.New()
+	for _, name := range AblationNames() {
+		for _, p := range runAblationStudy(t, name, Scale{Warmup: 300, Measure: 1200}) {
+			fmt.Fprintf(h, "%+v\n", p)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != ablationGolden {
+		t.Fatalf("ablation fingerprint %s, want %s", got, ablationGolden)
 	}
 }
 

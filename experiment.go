@@ -497,4 +497,6 @@ func init() {
 			}
 			return res, nil
 		})
+
+	registerAblations()
 }

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 	"time"
 
 	"github.com/catnap-noc/catnap/internal/runner"
@@ -61,9 +62,11 @@ type Options struct {
 	Jobs     int
 	Timeout  time.Duration
 	Progress runner.Progress
-	// WorkerState is passed through to runner.Options.WorkerState for
-	// each round, giving evaluators per-worker reusable state (the root
-	// package threads a simulator pool here).
+	// WorkerState gives evaluators per-worker reusable state (the root
+	// package threads a simulator pool here). It is called at most Jobs
+	// times per campaign: the states live as long as the campaign, and
+	// the i-th worker of every round gets the i-th state, so pools stay
+	// warm across rounds.
 	WorkerState func() any
 }
 
@@ -192,6 +195,7 @@ func Run(ctx context.Context, ev Evaluator, opts Options) (*Result, error) {
 		})
 	}
 
+	workers := &workerStates{build: opts.WorkerState}
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -233,7 +237,7 @@ func Run(ctx context.Context, ev Evaluator, opts Options) (*Result, error) {
 				},
 			}
 		}
-		out, err := runner.Run(ctx, points, runner.Options{Jobs: opts.Jobs, Timeout: opts.Timeout, Progress: opts.Progress, WorkerState: opts.WorkerState})
+		out, err := runner.Run(ctx, points, runner.Options{Jobs: opts.Jobs, Timeout: opts.Timeout, Progress: opts.Progress, WorkerState: workers.round()})
 		if err != nil {
 			// Cancelled mid-batch: the checkpoint still carries this batch
 			// as pending, and every completed point is in the cache, so a
@@ -274,6 +278,43 @@ func Run(ctx context.Context, ev Evaluator, opts Options) (*Result, error) {
 		Proposed: int64(len(seen)), Evaluated: evaluated, Infeasible: infeasible, Failures: failures,
 		Rounds: round, Cache: cache.Stats(),
 	}, nil
+}
+
+// workerStates hands a campaign's per-worker states to the workers of
+// each round's runner call: runner.Run calls its WorkerState hook once
+// per worker goroutine, so next serves slot 0, 1, ... of the states
+// built so far (building a state only when a round has more workers
+// than any before it), and round starts the slot count over for the
+// next call. Rounds run one at a time, so two workers never share a
+// slot.
+type workerStates struct {
+	build  func() any
+	mu     sync.Mutex
+	states []any
+	used   int
+}
+
+// round returns the runner.Options.WorkerState hook for one round's
+// runner call, starting the slot count over at 0; nil when the campaign
+// has no worker state.
+func (w *workerStates) round() func() any {
+	if w.build == nil {
+		return nil
+	}
+	w.used = 0
+	return w.next
+}
+
+// next returns the next unused slot's state, building it on first use.
+func (w *workerStates) next() any {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.used == len(w.states) {
+		w.states = append(w.states, w.build())
+	}
+	st := w.states[w.used]
+	w.used++
+	return st
 }
 
 // specLabel is a point's compact progress label.

@@ -7,8 +7,12 @@ import (
 	"fmt"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"github.com/catnap-noc/catnap/internal/runner"
 )
 
 // synthEval is a deterministic pure-function evaluator: objectives are
@@ -304,5 +308,44 @@ func TestEngineOptionsValidate(t *testing.T) {
 	}
 	if _, err := Run(context.Background(), nil, valid); err == nil {
 		t.Fatal("nil evaluator accepted")
+	}
+}
+
+// TestEngineWorkerStatesLiveForCampaign: a multi-round campaign builds
+// at most Jobs worker states, and within a round no two concurrently
+// running points share one (each state is a mutex the evaluator must
+// win without waiting).
+func TestEngineWorkerStatesLiveForCampaign(t *testing.T) {
+	sp := testSpace()
+	opts := testOptions(sp)
+	opts.Grid = true
+	var built atomic.Int64
+	opts.WorkerState = func() any {
+		built.Add(1)
+		return new(sync.Mutex)
+	}
+	var shared atomic.Int64
+	ev := func(ctx context.Context, spec Spec) (Sample, error) {
+		mu := runner.WorkerState(ctx).(*sync.Mutex)
+		if !mu.TryLock() {
+			shared.Add(1)
+			mu.Lock()
+		}
+		defer mu.Unlock()
+		time.Sleep(100 * time.Microsecond)
+		return synthEval(ctx, spec)
+	}
+	r, err := Run(context.Background(), ev, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Rounds < 3 {
+		t.Fatalf("%d rounds: the campaign must cross several runner calls", r.Rounds)
+	}
+	if n := built.Load(); n < 1 || n > int64(opts.Jobs) {
+		t.Fatalf("%d worker states built over %d rounds, want 1..%d", n, r.Rounds, opts.Jobs)
+	}
+	if n := shared.Load(); n != 0 {
+		t.Fatalf("%d points found their worker state in use by another worker", n)
 	}
 }

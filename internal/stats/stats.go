@@ -8,7 +8,7 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 )
 
 // Latency accumulates a distribution of integer cycle latencies. It keeps
@@ -25,8 +25,10 @@ type Latency struct {
 	every   int64 // record one of every `every` observations
 	// sorted caches the sorted reservoir between Observe calls; the sweep
 	// progress path queries several percentiles per point, so sorting once
-	// per quiescent state instead of once per query matters. Nil means
-	// stale; Observe invalidates.
+	// per quiescent state instead of once per query matters. Empty means
+	// stale (Percentile never sorts an empty reservoir); Observe and Reset
+	// truncate it but keep its backing array, so a reused accumulator
+	// sorts into warm memory.
 	sorted []int32
 }
 
@@ -50,7 +52,7 @@ func (l *Latency) Reset() {
 	l.max = 0
 	l.samples = l.samples[:0]
 	l.every = 1
-	l.sorted = nil
+	l.sorted = l.sorted[:0]
 }
 
 // Observe records one latency in cycles.
@@ -66,7 +68,7 @@ func (l *Latency) Observe(cycles int64) {
 		l.max = cycles
 	}
 	if l.count%l.every == 0 {
-		l.sorted = nil
+		l.sorted = l.sorted[:0]
 		if len(l.samples) == cap(l.samples) {
 			// Decimate: keep every other sample and double the stride. This
 			// keeps a uniform systematic sample without per-observation RNG.
@@ -122,12 +124,11 @@ func (l *Latency) Percentile(p float64) int64 {
 	if len(l.samples) == 0 {
 		return 0
 	}
-	if l.sorted == nil {
+	if len(l.sorted) == 0 {
 		// Copy rather than sort in place: samples is a systematic sample
 		// whose append order the decimation pass in Observe relies on.
-		l.sorted = make([]int32, len(l.samples))
-		copy(l.sorted, l.samples)
-		sort.Slice(l.sorted, func(i, j int) bool { return l.sorted[i] < l.sorted[j] })
+		l.sorted = append(l.sorted[:0], l.samples...)
+		slices.Sort(l.sorted)
 	}
 	s := l.sorted
 	idx := int(p / 100 * float64(len(s)-1))

@@ -228,3 +228,34 @@ func TestPercentileMatchesUncached(t *testing.T) {
 		}
 	}
 }
+
+// TestLatencyResetReusesSortBuffer: an accumulator reset after a
+// decimating run reports exactly what a fresh one does, and once its
+// sort buffer has held a full reservoir, percentile queries allocate
+// nothing.
+func TestLatencyResetReusesSortBuffer(t *testing.T) {
+	l := NewLatency(64)
+	for i := int64(0); i < 64; i++ {
+		l.Observe(i)
+	}
+	l.Percentile(50) // sorts a full reservoir
+	for i := int64(0); i < 1000; i++ {
+		l.Observe(i % 97) // decimates
+	}
+	l.Percentile(50)
+	l.Reset()
+	fresh := NewLatency(64)
+	for i := int64(0); i < 50; i++ {
+		v := i * 37 % 23
+		l.Observe(v)
+		fresh.Observe(v)
+	}
+	for _, p := range []float64{0, 50, 99, 100} {
+		if got, want := l.Percentile(p), fresh.Percentile(p); got != want {
+			t.Fatalf("p%v = %d after Reset, fresh accumulator %d", p, got, want)
+		}
+	}
+	if allocs := testing.AllocsPerRun(100, func() { l.Observe(5); l.Percentile(50) }); allocs != 0 {
+		t.Fatalf("Observe+Percentile allocates %v times on a warmed accumulator, want 0", allocs)
+	}
+}

@@ -213,12 +213,24 @@ func Fig12Bursts() Schedule {
 // Generator drives open-loop synthetic traffic into a network. Call Tick
 // once per cycle before Network.Step.
 type Generator struct {
-	net      *noc.Network
-	pattern  Pattern
-	schedule Schedule
-	rngs     []sim.RNG // one stream per node, held by value
-	class    noc.MsgClass
-	bits     int
+	net        *noc.Network
+	pattern    Pattern
+	schedule   Schedule
+	seed       uint64
+	rows, cols int
+	rngs       []sim.RNG // one stream per node, held by value
+	class      noc.MsgClass
+	bits       int
+
+	// ticked is set by the first Tick: Intern needs the RNGs still at
+	// their seeded state.
+	ticked bool
+	// replay, while non-nil, is the interned stream Tick replays in place
+	// of drawing; tick counts the Ticks replayed so far and pos is the
+	// next arrival to emit (see Intern).
+	replay *stream
+	tick   uint32
+	pos    int
 
 	// Offered counts packets generated (offered load realized); the
 	// network's own counters give accepted load.
@@ -230,12 +242,15 @@ type Generator struct {
 func NewGenerator(net *noc.Network, pattern Pattern, schedule Schedule, seed uint64) *Generator {
 	var root sim.RNG
 	root.Reseed(seed)
-	nodes := net.Topo().Nodes()
+	topo := net.Topo()
 	g := &Generator{
 		net:      net,
 		pattern:  pattern,
 		schedule: schedule,
-		rngs:     make([]sim.RNG, nodes),
+		seed:     seed,
+		rows:     topo.Rows(),
+		cols:     topo.Cols(),
+		rngs:     make([]sim.RNG, topo.Nodes()),
 		class:    noc.ClassSynthetic,
 		bits:     SyntheticPacketBits,
 	}
@@ -260,27 +275,55 @@ func (g *Generator) NextArrival(now int64) (int64, bool) {
 }
 
 // Tick injects this cycle's new packets: each node flips a Bernoulli coin
-// with the schedule's current load. The coin is RNG.Bernoulli(load)
-// exactly — same draws, same answers — with the threshold hoisted out of
-// the node loop (sim.BernoulliThreshold); like Bernoulli, a load of 1 or
-// more injects everywhere without drawing.
+// with the schedule's current load (see drawCycle). While an interned
+// stream is attached (Intern), Tick replays that stream's next cycle
+// instead, and hands the node RNGs the stream's end states once the
+// stream is used up.
 //
 //catnap:hotpath runs once per simulated cycle with synthetic traffic
 func (g *Generator) Tick(now int64) {
+	if g.replay != nil {
+		g.replayTick()
+		return
+	}
+	g.ticked = true
 	load := g.schedule.Load(now)
 	if load <= 0 {
 		return
 	}
+	drawCycle(g.rngs, g.pattern, load, g.rows, g.cols, g)
+}
+
+// arrive injects one generated packet.
+//
+//catnap:hotpath called once per injected synthetic packet
+func (g *Generator) arrive(src, dst int) {
+	g.net.NewPacket(src, dst, g.class, g.bits)
+	g.Offered++
+}
+
+// arrivalSink receives the packets one cycle of coin flips generates.
+type arrivalSink interface {
+	arrive(src, dst int)
+}
+
+// drawCycle is the generator's single draw loop, shared by live Tick and
+// the stream recorder so a replayed stream is the live one by
+// construction. Each node flips a Bernoulli coin with the given load and,
+// on heads, draws its destination from the same RNG. The coin is
+// RNG.Bernoulli(load) exactly — same draws, same answers — with the
+// threshold hoisted out of the node loop (sim.BernoulliThreshold); like
+// Bernoulli, a load of 1 or more injects everywhere without drawing.
+//
+//catnap:hotpath runs once per simulated cycle with synthetic traffic
+func drawCycle(rngs []sim.RNG, pattern Pattern, load float64, rows, cols int, sink arrivalSink) {
 	draw := load < 1
 	thr := sim.BernoulliThreshold(load)
-	rows, cols := g.net.Topo().Rows(), g.net.Topo().Cols()
-	for src := range g.rngs {
-		rng := &g.rngs[src]
+	for src := range rngs {
+		rng := &rngs[src]
 		if draw && rng.Uint64()>>11 >= thr {
 			continue
 		}
-		dst := g.pattern.Dest(rng, src, rows, cols)
-		g.net.NewPacket(src, dst, g.class, g.bits)
-		g.Offered++
+		sink.arrive(src, pattern.Dest(rng, src, rows, cols))
 	}
 }

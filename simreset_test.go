@@ -136,3 +136,41 @@ func TestExperimentReuseMatchesNoReuse(t *testing.T) {
 		t.Errorf("fig6 typed data diverges between reuse and fresh arms")
 	}
 }
+
+// TestSimPoolReusesLatencyReservoirs: a pooled simulator keeps its
+// measurement-window latency reservoirs across windows and resets. After
+// a window long enough to decimate them (more deliveries than their
+// 1<<16 capacity), a short window on a different design still reports
+// exactly a fresh simulator's Results, and opening a reused window
+// allocates nothing.
+func TestSimPoolReusesLatencyReservoirs(t *testing.T) {
+	pool := NewSimPool()
+	sim, err := pool.Get(mustDesign("1NT-512b"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.RunSynthetic(traffic.UniformRandom{}, traffic.Constant(0.3), 200, 5000)
+	if n := sim.winLatency.Count(); n <= 1<<16 {
+		t.Fatalf("long window observed %d deliveries, want > %d so the reservoir decimates", n, 1<<16)
+	}
+	lat, netLat := sim.winLatency, sim.winNetLat
+
+	cfg := mustDesign("4NT-128b-PG")
+	short := func(s *Simulator) Results {
+		return s.RunSynthetic(traffic.UniformRandom{}, traffic.Constant(0.05), 300, 1000)
+	}
+	reused, err := pool.Get(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := short(reused)
+	if reused.winLatency != lat || reused.winNetLat != netLat {
+		t.Fatal("a reused simulator allocated new latency reservoirs")
+	}
+	if want := short(mustSim(cfg)); !reflect.DeepEqual(got, want) {
+		t.Fatalf("reused reservoirs changed the Results:\n got %+v\nwant %+v", got, want)
+	}
+	if allocs := testing.AllocsPerRun(10, reused.StartMeasure); allocs != 0 {
+		t.Fatalf("a reused StartMeasure allocates %v times, want 0", allocs)
+	}
+}

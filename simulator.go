@@ -117,9 +117,7 @@ func (s *Simulator) Reset(cfg Config) error {
 	s.gen = nil
 	s.sys = nil
 	s.measuring = false
-	s.winLatency = nil
-	s.winNetLat = nil
-	s.start = measureSnapshot{}
+	s.start = measureSnapshot{flitsPerSubnet: s.start.flitsPerSubnet[:0]}
 
 	if needsDet {
 		dcfg := congestion.Default(cfg.Metric)
@@ -369,22 +367,31 @@ func (s *Simulator) RunCtx(ctx context.Context, n int64) error {
 }
 
 // StartMeasure opens a measurement window: all Results quantities are
-// deltas from this point.
+// deltas from this point. The window's latency reservoirs are allocated
+// by the simulator's first window and emptied in place by every later
+// one, across Reset too: StopMeasure copies values out of them, so no
+// Results aliases a reservoir.
 func (s *Simulator) StartMeasure() {
-	s.winLatency = stats.NewLatency(0)
-	s.winNetLat = stats.NewLatency(0)
+	if s.winLatency == nil {
+		s.winLatency = stats.NewLatency(0)
+		s.winNetLat = stats.NewLatency(0)
+	} else {
+		s.winLatency.Reset()
+		s.winNetLat.Reset()
+	}
 	s.measuring = true
 	s.Net.FlushCSC()
 	csc, _ := s.Net.CompensatedSleepCycles()
 	created, injected, ejected := s.Net.Counts()
 	s.start = measureSnapshot{
-		cycle:        s.Net.Now(),
-		events:       s.Net.Events(),
-		csc:          csc,
-		created:      created,
-		injected:     injected,
-		ejected:      ejected,
-		ejectedFlits: s.Net.EjectedFlits(),
+		cycle:          s.Net.Now(),
+		events:         s.Net.Events(),
+		csc:            csc,
+		created:        created,
+		injected:       injected,
+		ejected:        ejected,
+		ejectedFlits:   s.Net.EjectedFlits(),
+		flitsPerSubnet: append(s.start.flitsPerSubnet[:0], s.Net.FlitsPerSubnet()...),
 	}
 	if s.Det != nil {
 		s.start.orToggles = s.Det.Energy().Toggles
@@ -392,7 +399,6 @@ func (s *Simulator) StartMeasure() {
 	if s.gen != nil {
 		s.start.offered = s.gen.Offered
 	}
-	s.start.flitsPerSubnet = append([]int64(nil), s.Net.FlitsPerSubnet()...)
 	if s.sys != nil {
 		s.sys.StartMeasurement()
 	}
@@ -469,8 +475,13 @@ func (s *Simulator) RunSynthetic(pattern traffic.Pattern, sched traffic.Schedule
 // RunSyntheticCtx is RunSynthetic with cooperative cancellation: the run
 // stops between cycles (see RunCtx) when ctx is cancelled, returning
 // ctx's error and zero Results.
+//
+// The run's length is known up front, so the generator replays the
+// process-wide interned arrival stream for its key when it has one (see
+// traffic.Generator.Intern): every design run at the same seed, load and
+// length shares one recorded stream instead of redrawing it.
 func (s *Simulator) RunSyntheticCtx(ctx context.Context, pattern traffic.Pattern, sched traffic.Schedule, warmup, measure int64) (Results, error) {
-	s.UseSynthetic(pattern, sched, 0)
+	s.UseSynthetic(pattern, sched, 0).Intern(warmup + measure)
 	if err := s.RunCtx(ctx, warmup); err != nil {
 		return Results{}, err
 	}
